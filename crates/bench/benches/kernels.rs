@@ -10,7 +10,8 @@
 //! 1/2/4 index shards (with a shard-vs-monolithic bit-identity check),
 //! pan-genome mapping against 1 vs 3 named references (one shared sketch,
 //! per-reference seeding, deterministic merge; set-vs-solo bit-identity
-//! check), banded alignment, end-to-end single-read processing, the batch
+//! check), banded alignment (a fixed 2 kb case and a 3 kb read at the
+//! band the mapper picks), end-to-end single-read processing, the batch
 //! pipeline (one `Session` source) at 1/2/4 worker threads with a
 //! serial-vs-parallel bit-identity check, the streaming executor (a
 //! `Session` over a lazy `StreamingSimulator` source) across worker/queue
@@ -43,8 +44,8 @@ use genpip_datasets::{DatasetProfile, FaultInjector, SimulatedDataset, Streaming
 use genpip_genomics::GenomeBuilder;
 use genpip_io::{pack_source, GscReadSource};
 use genpip_mapping::{
-    minimizers_into, Anchor, ChainParams, IncrementalChainer, Mapper, MapperParams,
-    MinimizerScratch, ReferenceSet, SeedBatch, SeedScratch, Shards,
+    minimizers_into, AlignScratch, Anchor, ChainParams, IncrementalChainer, Mapper, MapperParams,
+    MinimizerScratch, ReferenceSet, SeedBatch, SeedScratch, Shards, Strand,
 };
 use genpip_pim::{CamBank, CrossbarArray};
 use genpip_signal::{PoreModel, SignalSynthesizer};
@@ -381,12 +382,19 @@ fn main() {
             let mut scratch = SeedScratch::new();
             let mut batches = Vec::new();
             let mut pairs = set.new_chainer_pairs();
+            let mut align = AlignScratch::new();
             let r = bench(
                 &format!("pan_genome/map_{n_refs}_references"),
                 Some((query.len() as f64, "bases")),
                 || {
-                    set.map_with(black_box(&query), &mut scratch, &mut batches, &mut pairs)
-                        .best_chain_score
+                    set.map_with(
+                        black_box(&query),
+                        &mut scratch,
+                        &mut batches,
+                        &mut pairs,
+                        &mut align,
+                    )
+                    .best_chain_score
                 },
             );
             let result = set.map(&query);
@@ -427,6 +435,40 @@ fn main() {
             "align/banded_2kb_hw64",
             Some((q.len() as f64, "bases")),
             || banded_global(black_box(&q), black_box(&r), &params, 0, 64).score,
+        ));
+    }
+
+    // --- Banded alignment at the mapper's band for a 3 kb read ---
+    // The half-width the mapper picks: band margin + read length / 20 + half
+    // the best chain's diagonal spread, measured here on a real chain over a
+    // 10%-error read. The kernel runs on a reused scratch, as in the pipeline.
+    {
+        use genpip_genomics::{rng::seeded, ErrorModel};
+        use genpip_mapping::align::AlignmentParams;
+        let genome = GenomeBuilder::new(20_000).seed(8).build();
+        let truth = genome.sequence().subseq(8_000, 3_000);
+        let (read, _) = ErrorModel::with_total_rate(0.1).apply(&truth, &mut seeded(8));
+        let params = MapperParams::default();
+        let mapper = Mapper::build(&genome, params);
+        let (mut fwd, _) = mapper.new_chainers();
+        let (batch, _) = mapper.sketch_and_seed(&read, 0);
+        fwd.extend(&batch.forward);
+        let chain = fwd.best_chain().expect("the read's own locus chains");
+        let (dmin, dmax) = chain
+            .anchor_indices
+            .iter()
+            .map(|&i| fwd.anchors()[i].rpos as i64 - fwd.anchors()[i].qpos as i64)
+            .fold((i64::MAX, i64::MIN), |(lo, hi), d| (lo.min(d), hi.max(d)));
+        let hw = ((dmax - dmin) / 2) as usize + params.band_margin + read.len() / 20;
+        let mut scratch = AlignScratch::new();
+        scratch.load_query(&read);
+        scratch.load_window(genome.sequence(), 7_950, 3_100, Strand::Forward);
+        let align_params = AlignmentParams::default();
+        let cells = scratch.align(&align_params, 50, hw).cells;
+        results.push(bench(
+            "align/banded_3kb_mapper_band",
+            Some((cells as f64, "cells")),
+            || scratch.align(&align_params, black_box(50), hw).score,
         ));
     }
 

@@ -56,8 +56,8 @@ use genpip_datasets::{ReadSource, SimulatedDataset, SimulatedRead};
 use genpip_genomics::quality::AqsAccumulator;
 use genpip_genomics::{DnaSeq, Genome, Phred};
 use genpip_mapping::{
-    IncrementalChainer, Mapping, MappingCounters, ReferenceMapping, ReferenceSet, SeedBatch,
-    SeedScratch,
+    AlignScratch, IncrementalChainer, Mapping, MappingCounters, ReferenceMapping, ReferenceSet,
+    SeedBatch, SeedScratch,
 };
 use genpip_signal::{chunk_boundaries, PoreModel};
 use std::collections::BTreeMap;
@@ -374,13 +374,14 @@ impl RunContext {
 }
 
 /// Worker-local working memory: every buffer a read needs on its way through
-/// basecalling, sketching, seeding and chaining. One instance per worker
-/// thread; steady-state processing reuses it without heap allocation.
+/// basecalling, sketching, seeding, chaining and alignment. One instance per
+/// worker thread; steady-state processing reuses it without heap allocation.
 pub(crate) struct WorkerScratch {
     call: CallScratch,
     seed: SeedScratch,
     batches: Vec<SeedBatch>,
     pairs: Vec<(IncrementalChainer, IncrementalChainer)>,
+    align: AlignScratch,
     /// Lane-batched decode buffers for [`prefetch_lane_batch`]: the SoA
     /// Viterbi scratch plus the per-batch output staging vector. Both reach
     /// steady state after the first full batch and are then reused
@@ -396,6 +397,7 @@ impl WorkerScratch {
             seed: SeedScratch::new(),
             batches: Vec::new(),
             pairs: ctx.refs.new_chainer_pairs(),
+            align: AlignScratch::new(),
             lanes: LaneScratch::new(),
             lane_chunks: Vec::new(),
         }
@@ -924,8 +926,9 @@ impl GenPipChain {
                     run.outcome = ReadOutcome::FilteredQc { aqs: full_aqs };
                     return self.finish(false, units);
                 }
-                let (per_reference, mapping, best_score, align_cells) =
-                    ctx.refs.finalize_mapping(&self.seq, &self.pairs);
+                let (per_reference, mapping, best_score, align_cells) = ctx
+                    .refs
+                    .finalize_mapping_with(&self.seq, &self.pairs, &mut scratch.align);
                 if ctx.refs.len() > 1 {
                     run.per_reference = per_reference;
                 }
@@ -1047,6 +1050,7 @@ impl ConvChain {
             &mut scratch.seed,
             &mut scratch.batches,
             &mut scratch.pairs,
+            &mut scratch.align,
         );
         run.map_counters = result.counters;
         run.best_chain_score = result.best_chain_score;
@@ -1221,6 +1225,7 @@ fn conventional_read(
         &mut scratch.seed,
         &mut scratch.batches,
         &mut scratch.pairs,
+        &mut scratch.align,
     );
     run.map_counters = result.counters;
     run.best_chain_score = result.best_chain_score;
@@ -1601,7 +1606,8 @@ fn genpip_read(
     }
 
     let (per_reference, mapping, best_score, align_cells) =
-        ctx.refs.finalize_mapping(&seq, &scratch.pairs);
+        ctx.refs
+            .finalize_mapping_with(&seq, &scratch.pairs, &mut scratch.align);
     if ctx.refs.len() > 1 {
         run.per_reference = per_reference;
     }

@@ -8,9 +8,75 @@
 //! cost model.
 //!
 //! Gap cost model: a gap of length `L` costs `gap_open + L · gap_extend`.
+//!
+//! # The two-pass row kernel
+//!
+//! Each DP cell `(i, j)` holds three scores: `H`, the best alignment of
+//! `q[..i]` against `r[..j]`; `E`, the best one ending in a vertical gap (a
+//! query base against no reference base, CIGAR `I`); and `F`, the best one
+//! ending in a horizontal gap (CIGAR `D`). With `ge = gap_extend` and
+//! `oe = gap_open + ge`:
+//!
+//! ```text
+//! E[i][j] = max(H[i-1][j] + oe, E[i-1][j] + ge)
+//! F[i][j] = max(H[i][j-1] + oe, F[i][j-1] + ge)
+//! H[i][j] = max(H[i-1][j-1] + s(q[i-1], r[j-1]), E[i][j], F[i][j])
+//! ```
+//!
+//! Only `F` depends on a cell of the same row, so [`AlignScratch::align`]
+//! computes each band row in two passes:
+//!
+//! 1. **Pass 1** runs over the row with no dependency between cells. It
+//!    takes `E` and the diagonal from the previous row and sets the
+//!    provisional `H' = max(diag, E)`. The interior of the row is plain
+//!    equal-length slices without band checks, so the loop auto-vectorises.
+//! 2. **Pass 2** is the row's one serial scan, for `F`. `F` opens from the
+//!    left cell's *final* `H = max(H', F)`; substituting that in gives
+//!    `F[j] = max(H'[j-1] + oe, F[j-1] + max(oe, ge))`, so the loop carries
+//!    one add and one max. An element-wise sweep then sets `H = F` where
+//!    `F > H'`, plus the F-extend bits, and vectorises again.
+//!
+//! The split is exact: every cell gets the score and the traceback bits of
+//! the one-pass recurrence, for any gap penalties.
+//!
+//! * Ties resolve diag > E > F. Pass 1 takes `E` only when it is strictly
+//!   above the diagonal, and pass 2 takes `F` only when it is strictly
+//!   above `H'`, which is the one-pass order of comparisons.
+//! * The extend flags are strict (`extend > open`), so a tie between
+//!   opening and extending a gap records an open. For `F` the one-pass test
+//!   is `F[j-1] + ge > H[j-1] + oe`; with `H = max(H', F)` that is
+//!   `F[j-1] + ge > H'[j-1] + oe` and `ge > oe`, the test pass 2 applies.
+//! * `F` opens from the final `H`, not from `H'`: the substitution rewrites
+//!   `max(H', F) + oe` as `max(H' + oe, F + oe)`, which is equal in integer
+//!   arithmetic (no score comes near overflow), so no condition on
+//!   `gap_open` is needed.
+//!
+//! The band's first and last cell in a row keep explicit checks against the
+//! previous row's band. Interior cells need none: the band's ends never
+//! move left from one row to the next and move right by at most one.
+//!
+//! The traceback keeps four bits per cell (H's source and one extend flag
+//! per gap matrix). Each row is staged one byte per cell and then packed
+//! two cells per byte. All buffers live in a reusable [`AlignScratch`], so
+//! steady-state alignment allocates nothing.
 
+use crate::seed::Strand;
 use genpip_genomics::{Base, DnaSeq};
 use std::fmt;
+
+/// Score of cells the recurrence cannot reach: far below any real score,
+/// yet far enough above `i32::MIN` that adding penalties cannot overflow.
+const NEG: i32 = i32::MIN / 4;
+
+// Traceback nibble: bits 0–1 are H's source, bits 2 and 3 the E and F
+// extend flags.
+const SRC_DIAG: u8 = 0;
+const SRC_E: u8 = 1;
+const SRC_F: u8 = 2;
+const SRC_ORIGIN: u8 = 3;
+const SRC_MASK: u8 = 0b0011;
+const E_EXT: u8 = 0b0100;
+const F_EXT: u8 = 0b1000;
 
 /// Alignment scoring parameters (minimap2-like defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,11 +147,436 @@ pub struct Alignment {
 impl Alignment {
     /// BLAST-style identity: matching columns over all alignment columns.
     pub fn identity(&self) -> f64 {
-        if self.columns == 0 {
-            1.0
-        } else {
-            self.matches as f64 / self.columns as f64
+        blast_identity(self.matches, self.columns)
+    }
+}
+
+fn blast_identity(matches: usize, columns: usize) -> f64 {
+    if columns == 0 {
+        1.0
+    } else {
+        matches as f64 / columns as f64
+    }
+}
+
+/// Score and counters of one [`AlignScratch::align`] run. The CIGAR stays in
+/// the scratch ([`AlignScratch::cigar`]) until the next run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AlignStats {
+    /// Total alignment score.
+    pub score: i32,
+    /// Number of exactly matching columns.
+    pub matches: usize,
+    /// Total alignment columns (M + I + D).
+    pub columns: usize,
+    /// DP cells computed (the workload counter).
+    pub cells: usize,
+}
+
+impl AlignStats {
+    /// BLAST-style identity: matching columns over all alignment columns.
+    pub fn identity(&self) -> f64 {
+        blast_identity(self.matches, self.columns)
+    }
+}
+
+/// Reusable working memory for the banded kernel ([`AlignScratch::align`]).
+///
+/// It holds the query and the reference window as 2-bit base codes, the
+/// window's substitution scores per query base, two rolling H/E score rows,
+/// one band row's staged H', F and traceback, the packed traceback and the
+/// CIGAR of the last alignment. Buffers grow to the largest problem seen and
+/// are then reused, so one instance per worker thread keeps steady-state
+/// alignment free of heap allocations.
+#[derive(Debug, Clone, Default)]
+pub struct AlignScratch {
+    query: Vec<u8>,
+    window: Vec<u8>,
+    profile: Vec<i32>,
+    h_prev: Vec<i32>,
+    h_curr: Vec<i32>,
+    e_prev: Vec<i32>,
+    e_curr: Vec<i32>,
+    hp_row: Vec<i32>,
+    f_row: Vec<i32>,
+    tb_row: Vec<u8>,
+    tb: Vec<u8>,
+    cigar: Vec<CigarOp>,
+}
+
+impl AlignScratch {
+    /// Creates an empty workspace; buffers are sized lazily on first use.
+    pub fn new() -> AlignScratch {
+        AlignScratch::default()
+    }
+
+    /// Loads the query (the DP rows) as base codes.
+    pub fn load_query(&mut self, query: &DnaSeq) {
+        self.query.clear();
+        self.query.extend(query.iter().map(Base::code));
+    }
+
+    /// Loads the reference window (the DP columns) as base codes: `len`
+    /// bases of `seq` from `start`, reverse-complemented for
+    /// [`Strand::Reverse`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start + len > seq.len()`.
+    pub fn load_window(&mut self, seq: &DnaSeq, start: usize, len: usize, strand: Strand) {
+        assert!(
+            start + len <= seq.len(),
+            "window [{start}, {start}+{len}) out of bounds (len {})",
+            seq.len()
+        );
+        let span = start..start + len;
+        self.window.clear();
+        match strand {
+            Strand::Forward => self.window.extend(span.map(|i| seq.get(i).code())),
+            Strand::Reverse => self
+                .window
+                .extend(span.rev().map(|i| 3 - seq.get(i).code())),
         }
+    }
+
+    /// The CIGAR of the last [`AlignScratch::align`] run, query-leading.
+    pub fn cigar(&self) -> &[CigarOp] {
+        &self.cigar
+    }
+
+    /// Aligns the loaded query against the loaded window globally within a
+    /// diagonal band, leaving the CIGAR in the scratch.
+    ///
+    /// The band covers columns `j ∈ [i + band_center − hw, i + band_center + hw]`
+    /// for each query row `i`; `hw` is widened automatically so the band
+    /// always contains both the origin and the terminal cell, making the
+    /// function total. See the [module docs](self) for the recurrence.
+    pub fn align(
+        &mut self,
+        params: &AlignmentParams,
+        band_center: i64,
+        band_halfwidth: usize,
+    ) -> AlignStats {
+        let AlignScratch {
+            query,
+            window,
+            profile,
+            h_prev,
+            h_curr,
+            e_prev,
+            e_curr,
+            hp_row,
+            f_row,
+            tb_row,
+            tb,
+            cigar,
+        } = self;
+        let (query, window): (&[u8], &[u8]) = (query, window);
+        let (n, m) = (query.len(), window.len());
+
+        // Widen the band to keep (0,0) and (n,m) inside it.
+        let need_start = band_center.unsigned_abs() as usize;
+        let need_end = (m as i64 - n as i64 - band_center).unsigned_abs() as usize;
+        let hw = band_halfwidth.max(need_start).max(need_end) + 1;
+        let width = 2 * hw + 1;
+        // Packed traceback bytes per row: two 4-bit cells per byte.
+        let stride = width.div_ceil(2);
+        let lo_of = |i: usize| -> usize {
+            let lo = i as i64 + band_center - hw as i64;
+            lo.clamp(0, m as i64) as usize
+        };
+        let hi_of = |i: usize| -> usize {
+            let hi = i as i64 + band_center + hw as i64;
+            hi.clamp(0, m as i64) as usize
+        };
+
+        // H/E rows are indexed by absolute column j and only the band's span
+        // of each is ever read; H' and F are staged per band row.
+        for row in [&mut *h_prev, &mut *h_curr, &mut *e_prev, &mut *e_curr] {
+            row.clear();
+            row.resize(m + 1, NEG);
+        }
+        for row in [&mut *hp_row, &mut *f_row] {
+            row.clear();
+            row.resize(width, NEG);
+        }
+        tb_row.clear();
+        tb_row.resize(2 * stride, 0);
+        tb.clear();
+        tb.resize((n + 1) * stride, 0);
+
+        let (go, ge) = (params.gap_open, params.gap_extend);
+        let gaps = Gaps::new(params);
+        // Substitution scores per query base over the window:
+        // profile[b * m + c] = s(b, r[c]).
+        profile.clear();
+        for b in 0..4u8 {
+            profile.extend(window.iter().map(|&r| {
+                if r == b {
+                    params.match_score
+                } else {
+                    params.mismatch
+                }
+            }));
+        }
+
+        // Row 0: leading deletions.
+        debug_assert_eq!(lo_of(0), 0, "the widened band always holds the origin");
+        let hi0 = hi_of(0);
+        h_prev[0] = 0;
+        tb_row[0] = SRC_ORIGIN;
+        for j in 1..=hi0 {
+            h_prev[j] = go + ge * j as i32;
+            tb_row[j] = SRC_F | if j > 1 { F_EXT } else { 0 };
+        }
+        pack_row(tb_row, hi0 + 1, &mut tb[..stride]);
+        let mut cells = hi0;
+
+        for i in 1..=n {
+            let (lo, hi) = (lo_of(i), hi_of(i));
+            let row_cells = hi - lo + 1;
+            let prev_band = lo_of(i - 1)..=hi_of(i - 1);
+            let (hp, ep): (&[i32], &[i32]) = (h_prev, e_prev);
+            let sub = &profile[usize::from(query[i - 1]) * m..][..m];
+
+            // Pass 1 at a band edge: E, the diagonal and H' with explicit
+            // checks against the previous row's band.
+            let edge = move |j: usize| -> (i32, i32, u8) {
+                let mut flags = 0u8;
+                let e = if prev_band.contains(&j) {
+                    let open = hp[j] + gaps.oe;
+                    let extend = ep[j] + gaps.ge;
+                    if extend > open {
+                        flags |= E_EXT;
+                        extend
+                    } else {
+                        open
+                    }
+                } else {
+                    NEG
+                };
+                let diag = if j >= 1 && prev_band.contains(&(j - 1)) {
+                    hp[j - 1] + sub[j - 1]
+                } else {
+                    NEG
+                };
+                if e > diag {
+                    (e, e, flags | SRC_E)
+                } else {
+                    (diag, e, flags | SRC_DIAG)
+                }
+            };
+
+            (hp_row[0], e_curr[lo], tb_row[0]) = edge(lo);
+            if hi > lo {
+                // Pass 1 over the interior lo < j < hi: every read is inside
+                // the previous row's band, so no checks are needed.
+                let len = row_cells - 2;
+                row_interior(
+                    &hp[lo..lo + len + 1],
+                    &ep[lo + 1..lo + 1 + len],
+                    &sub[lo..lo + len],
+                    &mut hp_row[1..1 + len],
+                    &mut e_curr[lo + 1..lo + 1 + len],
+                    &mut tb_row[1..1 + len],
+                    gaps,
+                );
+                (hp_row[row_cells - 1], e_curr[hi], tb_row[row_cells - 1]) = edge(hi);
+            }
+
+            // Pass 2: the serial F scan, then F applied to H and the flags.
+            scan_f(&hp_row[..row_cells], &mut f_row[..row_cells], gaps);
+            apply_f(
+                &hp_row[..row_cells],
+                &f_row[..row_cells],
+                &mut h_curr[lo..=hi],
+                &mut tb_row[..row_cells],
+                gaps,
+            );
+
+            pack_row(tb_row, row_cells, &mut tb[i * stride..(i + 1) * stride]);
+            cells += row_cells;
+            std::mem::swap(h_prev, h_curr);
+            std::mem::swap(e_prev, e_curr);
+        }
+
+        let score = h_prev[m];
+
+        // Traceback over the packed nibbles, collecting runs back to front.
+        let nibble = |i: usize, j: usize| -> u8 {
+            let k = j - lo_of(i);
+            (tb[i * stride + k / 2] >> ((k & 1) * 4)) & 0xF
+        };
+        cigar.clear();
+        let (mut matches, mut columns) = (0usize, 0usize);
+        let (mut i, mut j) = (n, m);
+        // Which matrix the path is in: H (`SRC_DIAG`), E (`SRC_E`) or F
+        // (`SRC_F`).
+        let mut state = SRC_DIAG;
+        while i > 0 || j > 0 {
+            let flags = nibble(i, j);
+            match state {
+                SRC_DIAG => match flags & SRC_MASK {
+                    SRC_DIAG => {
+                        push_column(cigar, CigarOp::Match(1));
+                        columns += 1;
+                        if query[i - 1] == window[j - 1] {
+                            matches += 1;
+                        }
+                        i -= 1;
+                        j -= 1;
+                    }
+                    SRC_E => state = SRC_E,
+                    SRC_F => state = SRC_F,
+                    _ => break, // origin
+                },
+                SRC_E => {
+                    push_column(cigar, CigarOp::Ins(1));
+                    columns += 1;
+                    i -= 1;
+                    if flags & E_EXT == 0 {
+                        state = SRC_DIAG;
+                    }
+                }
+                _ => {
+                    push_column(cigar, CigarOp::Del(1));
+                    columns += 1;
+                    j -= 1;
+                    if flags & F_EXT == 0 {
+                        state = SRC_DIAG;
+                    }
+                }
+            }
+        }
+        cigar.reverse();
+
+        AlignStats {
+            score,
+            matches,
+            columns,
+            cells,
+        }
+    }
+}
+
+/// Gap penalties in the forms the row passes use.
+#[derive(Clone, Copy)]
+struct Gaps {
+    /// Cost of a gap's first column, `gap_open + gap_extend`.
+    oe: i32,
+    /// Cost of each further column.
+    ge: i32,
+    /// F's per-column step once H = max(H', F) is substituted into its
+    /// recurrence: `max(oe, ge)`.
+    f_step: i32,
+    /// Whether extending F can ever beat reopening from the F cell itself,
+    /// i.e. `ge > oe` (`gap_open < 0`).
+    f_can_extend: bool,
+}
+
+impl Gaps {
+    fn new(params: &AlignmentParams) -> Gaps {
+        let oe = params.gap_open + params.gap_extend;
+        let ge = params.gap_extend;
+        Gaps {
+            oe,
+            ge,
+            f_step: oe.max(ge),
+            f_can_extend: ge > oe,
+        }
+    }
+}
+
+/// Pass 1 over a row's interior cells: E, the diagonal and H' = max(diag, E)
+/// (diag wins ties), with the E-extend and source bits. `h_prev` is the
+/// previous row's final H from the column left of the first cell, so cell
+/// `k` reads its diagonal at `h_prev[k]` and the cell above at
+/// `h_prev[k + 1]`. No cell depends on another, so the loop vectorises.
+fn row_interior(
+    h_prev: &[i32],
+    e_prev: &[i32],
+    sub: &[i32],
+    hp_out: &mut [i32],
+    e_out: &mut [i32],
+    t_out: &mut [u8],
+    gaps: Gaps,
+) {
+    let len = hp_out.len();
+    let (h_diag, h_up) = (&h_prev[..len], &h_prev[1..=len]);
+    let (e_prev, sub, e_out, t_out) = (
+        &e_prev[..len],
+        &sub[..len],
+        &mut e_out[..len],
+        &mut t_out[..len],
+    );
+    for k in 0..len {
+        let open = h_up[k] + gaps.oe;
+        let extend = e_prev[k] + gaps.ge;
+        let e = open.max(extend);
+        let diag = h_diag[k] + sub[k];
+        e_out[k] = e;
+        hp_out[k] = diag.max(e);
+        t_out[k] = (u8::from(extend > open) * E_EXT) | (u8::from(e > diag) * SRC_E);
+    }
+}
+
+/// Pass 2, the row's one serial scan: F for every cell from the staged H'.
+/// The first cell has no left neighbour, so its F is NEG.
+fn scan_f(hp: &[i32], f_out: &mut [i32], gaps: Gaps) {
+    let mut f = NEG;
+    f_out[0] = f;
+    for (out, &h) in f_out[1..].iter_mut().zip(hp) {
+        f = (h + gaps.oe).max(f + gaps.f_step);
+        *out = f;
+    }
+}
+
+/// Applies a row's F: the final H is F only where F > H', which takes the
+/// source bits; a cell's F-extend bit is set where extending the left
+/// cell's F beats opening from its final H. Cells are independent again,
+/// so the loop vectorises.
+fn apply_f(hp: &[i32], f: &[i32], h_out: &mut [i32], t_out: &mut [u8], gaps: Gaps) {
+    let cells = hp.len();
+    let (f, h_out, t_out) = (&f[..cells], &mut h_out[..cells], &mut t_out[..cells]);
+    h_out[0] = hp[0].max(f[0]);
+    if f[0] > hp[0] {
+        t_out[0] = (t_out[0] & !SRC_MASK) | SRC_F;
+    }
+    let (hp_left, f_left) = (&hp[..cells - 1], &f[..cells - 1]);
+    let (hp, f, h_out, t_out) = (&hp[1..], &f[1..], &mut h_out[1..], &mut t_out[1..]);
+    for k in 0..cells - 1 {
+        let f_wins = u8::from(f[k] > hp[k]);
+        // extend > open, with open = max(H', F) + oe of the left cell.
+        let f_ext = u8::from(gaps.f_can_extend & (f_left[k] + gaps.ge > hp_left[k] + gaps.oe));
+        h_out[k] = hp[k].max(f[k]);
+        t_out[k] = (t_out[k] & !(f_wins * SRC_MASK)) | (f_wins * SRC_F) | (f_ext * F_EXT);
+    }
+}
+
+/// Packs the first `cells` staged traceback nibbles of `row` into `dst`, two
+/// cells per byte (even cell in the low nibble).
+fn pack_row(row: &mut [u8], cells: usize, dst: &mut [u8]) {
+    if cells % 2 == 1 {
+        // Clear the stale high nibble of the last byte.
+        row[cells] = 0;
+    }
+    for (byte, pair) in dst
+        .iter_mut()
+        .zip(row[..cells.div_ceil(2) * 2].chunks_exact(2))
+    {
+        let both = u16::from_le_bytes([pair[0], pair[1]]);
+        *byte = (both | (both >> 4)) as u8;
+    }
+}
+
+/// Appends one unit-length column to a back-to-front CIGAR, merging it into
+/// the last run when the operation repeats.
+fn push_column(cigar: &mut Vec<CigarOp>, op: CigarOp) {
+    match (cigar.last_mut(), op) {
+        (Some(CigarOp::Match(len)), CigarOp::Match(_))
+        | (Some(CigarOp::Ins(len)), CigarOp::Ins(_))
+        | (Some(CigarOp::Del(len)), CigarOp::Del(_)) => *len += 1,
+        _ => cigar.push(op),
     }
 }
 
@@ -94,6 +585,9 @@ impl Alignment {
 /// The band covers columns `j ∈ [i + band_center − hw, i + band_center + hw]`
 /// for each query row `i`; `hw` is widened automatically so the band always
 /// contains both the origin and the terminal cell, making the function total.
+///
+/// Convenience wrapper over [`AlignScratch::align`] with a fresh workspace;
+/// hot loops should own an [`AlignScratch`] instead.
 ///
 /// # Example
 ///
@@ -115,208 +609,16 @@ pub fn banded_global(
     band_center: i64,
     band_halfwidth: usize,
 ) -> Alignment {
-    let q: Vec<Base> = query.to_bases();
-    let r: Vec<Base> = reference.to_bases();
-    let (n, m) = (q.len(), r.len());
-
-    // Widen the band to keep (0,0) and (n,m) inside it.
-    let need_start = band_center.unsigned_abs() as usize;
-    let need_end = (m as i64 - n as i64 - band_center).unsigned_abs() as usize;
-    let hw = band_halfwidth.max(need_start).max(need_end) + 1;
-    let width = 2 * hw + 1;
-
-    const NEG: i32 = i32::MIN / 4;
-    let lo_of = |i: usize| -> usize {
-        let lo = i as i64 + band_center - hw as i64;
-        lo.clamp(0, m as i64) as usize
-    };
-    let hi_of = |i: usize| -> usize {
-        let hi = i as i64 + band_center + hw as i64;
-        hi.clamp(0, m as i64) as usize
-    };
-
-    // Rolling rows indexed by (j - lo) would complicate window shifts; rows
-    // are short (≤ width), so index them by absolute j with reallocation-free
-    // window slices.
-    let mut h_prev = vec![NEG; m + 1];
-    let mut ix_prev = vec![NEG; m + 1];
-    let mut iy_prev = vec![NEG; m + 1];
-    let mut h_curr = vec![NEG; m + 1];
-    let mut ix_curr = vec![NEG; m + 1];
-    let mut iy_curr = vec![NEG; m + 1];
-
-    // Traceback: per cell, bits 0..1 = H source (0 diag, 1 Ix, 2 Iy, 3 origin),
-    // bit 2 = Ix extended, bit 3 = Iy extended.
-    let mut tb = vec![0u8; (n + 1) * width];
-    let tb_index = |i: usize, j: usize, lo: usize| i * width + (j - lo);
-
-    let mut cells = 0usize;
-
-    // Row 0: leading deletions.
-    {
-        let lo = lo_of(0);
-        let hi = hi_of(0);
-        h_prev[0] = 0;
-        tb[tb_index(0, 0, lo)] = 3;
-        for j in 1..=hi {
-            iy_prev[j] = params.gap_open + params.gap_extend * j as i32;
-            h_prev[j] = iy_prev[j];
-            let mut flags = 2u8; // H from Iy
-            if j > 1 {
-                flags |= 0b1000; // Iy extended
-            }
-            tb[tb_index(0, j, lo)] = flags;
-            cells += 1;
-        }
-    }
-
-    for i in 1..=n {
-        let lo = lo_of(i);
-        let hi = hi_of(i);
-        let prev_lo = lo_of(i - 1);
-        let prev_hi = hi_of(i - 1);
-        for j in lo..=hi {
-            h_curr[j] = NEG;
-            ix_curr[j] = NEG;
-            iy_curr[j] = NEG;
-        }
-        for j in lo..=hi {
-            cells += 1;
-            let mut flags = 0u8;
-
-            // Ix: consume a query base (gap in reference).
-            let up_ok = (prev_lo..=prev_hi).contains(&j);
-            let ix = if up_ok {
-                let open = h_prev[j] + params.gap_open + params.gap_extend;
-                let extend = ix_prev[j] + params.gap_extend;
-                if extend > open {
-                    flags |= 0b0100;
-                    extend
-                } else {
-                    open
-                }
-            } else {
-                NEG
-            };
-            ix_curr[j] = ix;
-
-            // Iy: consume a reference base (gap in query).
-            let iy = if j > lo {
-                let open = h_curr[j - 1] + params.gap_open + params.gap_extend;
-                let extend = iy_curr[j - 1] + params.gap_extend;
-                if extend > open {
-                    flags |= 0b1000;
-                    extend
-                } else {
-                    open
-                }
-            } else {
-                NEG
-            };
-            iy_curr[j] = iy;
-
-            // H: diagonal, or close a gap.
-            let diag_ok = j >= 1 && (prev_lo..=prev_hi).contains(&(j - 1));
-            let diag = if diag_ok {
-                let s = if q[i - 1] == r[j - 1] {
-                    params.match_score
-                } else {
-                    params.mismatch
-                };
-                h_prev[j - 1] + s
-            } else {
-                NEG
-            };
-            let mut h = diag;
-            let mut src = 0u8;
-            if ix > h {
-                h = ix;
-                src = 1;
-            }
-            if iy > h {
-                h = iy;
-                src = 2;
-            }
-            h_curr[j] = h;
-            tb[tb_index(i, j, lo)] = flags | src;
-        }
-        std::mem::swap(&mut h_prev, &mut h_curr);
-        std::mem::swap(&mut ix_prev, &mut ix_curr);
-        std::mem::swap(&mut iy_prev, &mut iy_curr);
-    }
-
-    let score = h_prev[m];
-
-    // Traceback.
-    let mut ops_rev: Vec<(u8, u32)> = Vec::new(); // (kind: 0=M,1=I,2=D, len)
-    let push = |kind: u8, ops_rev: &mut Vec<(u8, u32)>| {
-        if let Some(last) = ops_rev.last_mut() {
-            if last.0 == kind {
-                last.1 += 1;
-                return;
-            }
-        }
-        ops_rev.push((kind, 1));
-    };
-    let mut matches = 0usize;
-    let (mut i, mut j) = (n, m);
-    // Which matrix we are currently in: 0=H, 1=Ix, 2=Iy.
-    let mut state = 0u8;
-    while i > 0 || j > 0 {
-        let lo = lo_of(i);
-        let flags = tb[tb_index(i, j, lo)];
-        match state {
-            0 => {
-                let src = flags & 0b11;
-                match src {
-                    0 => {
-                        // Diagonal step.
-                        push(0, &mut ops_rev);
-                        if query.get(i - 1) == reference.get(j - 1) {
-                            matches += 1;
-                        }
-                        i -= 1;
-                        j -= 1;
-                    }
-                    1 => state = 1,
-                    2 => state = 2,
-                    _ => break, // origin
-                }
-            }
-            1 => {
-                push(1, &mut ops_rev);
-                let extended = flags & 0b0100 != 0;
-                i -= 1;
-                state = if extended { 1 } else { 0 };
-            }
-            _ => {
-                push(2, &mut ops_rev);
-                let extended = flags & 0b1000 != 0;
-                j -= 1;
-                state = if extended { 2 } else { 0 };
-            }
-        }
-    }
-    ops_rev.reverse();
-    let mut columns = 0usize;
-    let cigar: Vec<CigarOp> = ops_rev
-        .into_iter()
-        .map(|(kind, len)| {
-            columns += len as usize;
-            match kind {
-                0 => CigarOp::Match(len),
-                1 => CigarOp::Ins(len),
-                _ => CigarOp::Del(len),
-            }
-        })
-        .collect();
-
+    let mut scratch = AlignScratch::new();
+    scratch.load_query(query);
+    scratch.load_window(reference, 0, reference.len(), Strand::Forward);
+    let stats = scratch.align(params, band_center, band_halfwidth);
     Alignment {
-        score,
-        cigar,
-        matches,
-        columns,
-        cells,
+        score: stats.score,
+        cigar: scratch.cigar,
+        matches: stats.matches,
+        columns: stats.columns,
+        cells: stats.cells,
     }
 }
 

@@ -176,21 +176,25 @@ impl IncrementalChainer {
 
     /// Traces back the best chain, if any anchor exists.
     pub fn best_chain(&self) -> Option<Chain> {
-        let (mut i, &score) = self
+        let (score, walk) = self.best_chain_rev()?;
+        let mut anchor_indices: Vec<usize> = walk.collect();
+        anchor_indices.reverse();
+        Some(Chain {
+            score,
+            anchor_indices,
+        })
+    }
+
+    /// The best chain's score and its anchor indices walked from its last
+    /// anchor back to its first, without allocating — the same chain
+    /// [`IncrementalChainer::best_chain`] collects front to back.
+    pub(crate) fn best_chain_rev(&self) -> Option<(f64, impl Iterator<Item = usize> + Clone + '_)> {
+        let (end, &score) = self
             .score
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))?;
-        let mut indices = vec![i];
-        while let Some(j) = self.pred[i] {
-            indices.push(j);
-            i = j;
-        }
-        indices.reverse();
-        Some(Chain {
-            score,
-            anchor_indices: indices,
-        })
+        Some((score, std::iter::successors(Some(end), |&i| self.pred[i])))
     }
 
     /// The best chain score among anchors whose (chain-coordinate) reference

@@ -6,7 +6,7 @@
 //! [`Mapper::finalize_mapping`]) that GenPIP's chunk-based pipeline drives
 //! incrementally.
 
-use crate::align::{banded_global, Alignment, AlignmentParams, CigarOp};
+use crate::align::{AlignScratch, AlignmentParams, CigarOp};
 use crate::chain::{ChainParams, IncrementalChainer};
 use crate::minimizer::{minimizers_into, Minimizer, MinimizerScratch};
 use crate::seed::{seed_batch_into, SeedBatch, Strand};
@@ -254,11 +254,27 @@ impl Mapper {
     ///
     /// Returns the (optional) mapping, the best chain score, and the number
     /// of alignment DP cells spent.
+    ///
+    /// Convenience wrapper over [`Mapper::finalize_mapping_with`]; hot loops
+    /// should own an [`AlignScratch`] instead.
     pub fn finalize_mapping(
         &self,
         query: &DnaSeq,
         forward: &IncrementalChainer,
         reverse: &IncrementalChainer,
+    ) -> (Option<Mapping>, f64, usize) {
+        self.finalize_mapping_with(query, forward, reverse, &mut AlignScratch::new())
+    }
+
+    /// [`Mapper::finalize_mapping`] over a caller-owned alignment workspace.
+    /// Results are identical; once `scratch` has grown to the read size, the
+    /// only heap allocation is the returned mapping's CIGAR.
+    pub fn finalize_mapping_with(
+        &self,
+        query: &DnaSeq,
+        forward: &IncrementalChainer,
+        reverse: &IncrementalChainer,
+        scratch: &mut AlignScratch,
     ) -> (Option<Mapping>, f64, usize) {
         let fwd_score = forward.best_score();
         let rev_score = reverse.best_score();
@@ -271,10 +287,10 @@ impl Mapper {
         } else {
             (reverse, Strand::Reverse, fwd_score)
         };
-        let chain = chainer.best_chain().expect("score > 0 implies a chain");
+        let (chain_score, chain) = chainer.best_chain_rev().expect("score > 0 implies a chain");
         let anchors = chainer.anchors();
-        let first = anchors[*chain.anchor_indices.first().expect("non-empty chain")];
-        let last = anchors[*chain.anchor_indices.last().expect("non-empty chain")];
+        let last = anchors[chain.clone().next().expect("non-empty chain")];
+        let first = anchors[chain.clone().last().expect("non-empty chain")];
 
         // Extrapolate the chain to the query ends to get the reference
         // window, in chain coordinates. Forward chain coordinates carry the
@@ -296,31 +312,25 @@ impl Mapper {
         }
         let wlen = (wend - wstart) as usize;
 
-        // Extract the window sequence (chain coordinates are RC-genome
-        // coordinates on the reverse strand).
-        let window = match strand {
-            Strand::Forward => self.genome.sequence().subseq((wstart - o) as usize, wlen),
-            Strand::Reverse => self
-                .genome
-                .sequence()
-                .subseq((g - wend) as usize, wlen)
-                .reverse_complement(),
+        // Load the query and the window as base codes (chain coordinates are
+        // RC-genome coordinates on the reverse strand, whose window the
+        // scratch reverse-complements in code space).
+        let genome_start = match strand {
+            Strand::Forward => wstart - o,
+            Strand::Reverse => g - wend,
         };
+        scratch.load_query(query);
+        scratch.load_window(self.genome.sequence(), genome_start as usize, wlen, strand);
 
-        // Band: centre on the chain's median diagonal, cover its spread.
-        let diags: Vec<i64> = chain
-            .anchor_indices
-            .iter()
-            .map(|&i| anchors[i].rpos as i64 - wstart - anchors[i].qpos as i64)
-            .collect();
-        let (dmin, dmax) = diags
-            .iter()
-            .fold((i64::MAX, i64::MIN), |(lo, hi), &d| (lo.min(d), hi.max(d)));
+        // Band: centre on the chain's diagonal range, cover its spread.
+        let (dmin, dmax) = chain
+            .clone()
+            .map(|i| anchors[i].rpos as i64 - wstart - anchors[i].qpos as i64)
+            .fold((i64::MAX, i64::MIN), |(lo, hi), d| (lo.min(d), hi.max(d)));
         let center = (dmin + dmax) / 2;
         let halfwidth = ((dmax - dmin) / 2) as usize + self.params.band_margin + query.len() / 20;
 
-        let alignment: Alignment =
-            banded_global(query, &window, &self.params.align, center, halfwidth);
+        let alignment = scratch.align(&self.params.align, center, halfwidth);
         let cells = alignment.cells;
         if alignment.identity() < self.params.min_identity {
             return (None, best_score, cells);
@@ -332,7 +342,7 @@ impl Mapper {
         let lo = (wstart as RefPos).saturating_sub(exclusion_halo);
         let hi = (wend as RefPos).saturating_add(exclusion_halo);
         let second = other_best.max(chainer.best_score_outside(lo..hi));
-        let mapq = compute_mapq(chain.score, second, chain.anchor_indices.len());
+        let mapq = compute_mapq(chain_score, second, chain.count());
 
         // Report the window in forward-genome coordinates (offset included).
         let (ref_start, ref_end) = match strand {
@@ -345,11 +355,11 @@ impl Mapper {
             ref_start,
             ref_end,
             strand,
-            chain_score: chain.score,
+            chain_score,
             align_score: alignment.score,
             identity: alignment.identity(),
             mapq,
-            cigar: alignment.cigar,
+            cigar: scratch.cigar().to_vec(),
         };
         (Some(mapping), best_score, cells)
     }
@@ -367,13 +377,14 @@ impl Mapper {
             &mut SeedBatch::default(),
             &mut fwd,
             &mut rev,
+            &mut AlignScratch::new(),
         )
     }
 
     /// Maps a whole read through the conventional flow, reusing caller-owned
-    /// buffers: `scratch`/`batch` for sketching and seeding, and a chainer
-    /// pair (reset here) for the DP. Results are identical to
-    /// [`Mapper::map`]; only allocation behaviour differs.
+    /// buffers: `scratch`/`batch` for sketching and seeding, a chainer pair
+    /// (reset here) for the DP, and `align` for the alignment. Results are
+    /// identical to [`Mapper::map`]; only allocation behaviour differs.
     pub fn map_with(
         &self,
         query: &DnaSeq,
@@ -381,6 +392,7 @@ impl Mapper {
         batch: &mut SeedBatch,
         fwd: &mut IncrementalChainer,
         rev: &mut IncrementalChainer,
+        align: &mut AlignScratch,
     ) -> MappingResult {
         fwd.reset();
         rev.reset();
@@ -392,7 +404,8 @@ impl Mapper {
         fwd.extend(&batch.forward);
         rev.extend(&batch.reverse);
         counters.chain_evals = fwd.dp_evaluations() + rev.dp_evaluations();
-        let (mapping, best_chain_score, align_cells) = self.finalize_mapping(query, fwd, rev);
+        let (mapping, best_chain_score, align_cells) =
+            self.finalize_mapping_with(query, fwd, rev, align);
         counters.align_cells = align_cells;
         MappingResult {
             mapping,
