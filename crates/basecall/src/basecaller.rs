@@ -2,10 +2,7 @@
 
 use crate::emission::EmissionModel;
 use crate::quality::QualityCalibration;
-use crate::viterbi::{
-    decode_lanes_with, decode_with, DecodeScratch, DecodeStats, LaneDecodeScratch, LaneJob,
-    Transitions, MAX_LANES,
-};
+use crate::viterbi::{decode_with, DecodeScratch, DecodeStats, Transitions};
 use genpip_genomics::{Base, DnaSeq, Phred};
 use genpip_signal::{chunk_boundaries, normalize_to_model, PoreModel};
 
@@ -142,14 +139,14 @@ pub struct ChunkJob<'a> {
     pub carry: Option<CarryState>,
 }
 
-/// Reusable workspace of [`LaneDecoder::call_batch`]: the lane-interleaved
-/// decode scratch, one normalization buffer per job slot, and a scalar
-/// fallback workspace for `width == 1` batches.
+/// Widest lane batch [`LaneDecoder`] accepts; widths are clamped to this
+/// everywhere a knob supplies them.
+pub const MAX_LANES: usize = 16;
+
+/// Reusable workspace of [`LaneDecoder::call_batch`].
 #[derive(Debug, Clone, Default)]
 pub struct LaneScratch {
-    decode: LaneDecodeScratch,
-    normalized: Vec<Vec<f32>>,
-    scalar: CallScratch,
+    call: CallScratch,
 }
 
 impl LaneScratch {
@@ -159,15 +156,15 @@ impl LaneScratch {
     }
 }
 
-/// Lane-batched basecaller front end: decodes W independent chunks in
-/// lockstep through [`decode_lanes_with`] while producing, per job, a
-/// [`BasecalledChunk`] **bit-identical** to
-/// [`Basecaller::call_chunk_with`] on the same `(samples, carry)`.
+/// Batch basecaller front end: basecalls a batch of independent chunk jobs,
+/// producing per job a [`BasecalledChunk`] **bit-identical** to
+/// [`Basecaller::call_chunk_with`] on the same `(samples, carry)` — it is
+/// that call, once per job, in job order.
 ///
-/// The width is a throughput knob only — `1` is the scalar path itself
-/// (the fallback and oracle), and any wider batch reuses the scalar
-/// code for everything outside the DP (normalization and chunk assembly)
-/// so the outputs cannot drift.
+/// The width only sets how many dispatchable chunk tasks a caller gathers
+/// into one batch (the batching order); every chunk is decoded by the one
+/// Viterbi row kernel (see [`crate::viterbi`]), which vectorises across
+/// states within a chunk rather than across chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneDecoder {
     width: usize,
@@ -193,11 +190,8 @@ impl LaneDecoder {
     /// Basecalls a batch of independent chunk jobs, pushing one
     /// [`BasecalledChunk`] per job (in job order) onto `out`.
     ///
-    /// Jobs may come from different reads and have different lengths; a
-    /// lane whose chunk ends early refills from the remaining jobs without
-    /// stalling the batch, so `jobs.len()` may exceed the width. Batches
-    /// of fewer than two jobs, and `width == 1` decoders, take the scalar
-    /// path directly.
+    /// Jobs may come from different reads and have different lengths, and
+    /// `jobs.len()` may exceed the width.
     ///
     /// # Panics
     ///
@@ -215,55 +209,13 @@ impl LaneDecoder {
         out: &mut Vec<BasecalledChunk>,
     ) {
         out.clear();
-        if self.width == 1 || jobs.len() < 2 {
-            for job in jobs {
-                out.push(caller.call_chunk_with(job.samples, job.carry, &mut scratch.scalar));
-            }
-            return;
-        }
         for job in jobs {
             if let Some(sample_index) = job.samples.iter().position(|s| !s.is_finite()) {
                 std::panic::panic_any(SignalFault { sample_index });
             }
         }
-        if scratch.normalized.len() < jobs.len() {
-            scratch.normalized.resize_with(jobs.len(), Vec::new);
-        }
-        for (buf, job) in scratch.normalized.iter_mut().zip(jobs) {
-            buf.clear();
-            buf.extend_from_slice(job.samples);
-            if caller.normalize {
-                normalize_to_model(buf, &caller.pore);
-            }
-        }
-        let lane_jobs: Vec<LaneJob> = scratch.normalized[..jobs.len()]
-            .iter()
-            .zip(jobs)
-            .map(|(buf, job)| LaneJob {
-                samples: buf,
-                init_state: job.carry.map(|c| c.0),
-            })
-            .collect();
-        // A batch smaller than the configured width would leave lanes empty
-        // for the whole decode, forcing every row down the partial-occupancy
-        // path; output is bit-identical at every width, so shrink to fit.
-        let width = self.width.min(lane_jobs.len());
-        decode_lanes_with(
-            &caller.emission,
-            caller.transitions,
-            &lane_jobs,
-            width,
-            &mut scratch.decode,
-        );
-        for (j, job) in jobs.iter().enumerate() {
-            let outcome = scratch.decode.outcome(j);
-            out.push(caller.assemble_chunk(
-                &scratch.normalized[j],
-                outcome.states(),
-                outcome.advanced(),
-                job.carry,
-                outcome.stats(),
-            ));
+        for job in jobs {
+            out.push(caller.call_chunk_with(job.samples, job.carry, &mut scratch.call));
         }
     }
 }
@@ -422,12 +374,15 @@ impl Basecaller {
         if let Some(sample_index) = samples.iter().position(|s| !s.is_finite()) {
             std::panic::panic_any(SignalFault { sample_index });
         }
-        scratch.normalized.clear();
-        scratch.normalized.extend_from_slice(samples);
-        let normalized = &mut scratch.normalized;
-        if self.normalize {
-            normalize_to_model(normalized, &self.pore);
-        }
+        // Without normalization the decode reads the caller's slice as is.
+        let normalized: &[f32] = if self.normalize {
+            scratch.normalized.clear();
+            scratch.normalized.extend_from_slice(samples);
+            normalize_to_model(&mut scratch.normalized, &self.pore);
+            &scratch.normalized
+        } else {
+            samples
+        };
         let stats = decode_with(
             &self.emission,
             normalized,
@@ -445,9 +400,7 @@ impl Basecaller {
     }
 
     /// Turns one chunk's decoded state path into bases, qualities, and the
-    /// carry — the post-decode half of [`Basecaller::call_chunk_with`],
-    /// shared verbatim with the lane-batched path so both are structurally
-    /// bit-identical.
+    /// carry — the post-decode half of [`Basecaller::call_chunk_with`].
     fn assemble_chunk(
         &self,
         normalized: &[f32],

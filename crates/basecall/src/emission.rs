@@ -16,6 +16,10 @@ use genpip_signal::PoreModel;
 pub struct EmissionModel {
     /// Flattened `states × 3` weight matrix, row-major.
     weights: Vec<f32>,
+    /// The same matrix column-major (`[w0; states] ++ [w1; states] ++
+    /// [w2; states]`), so the Viterbi row kernel reads each coefficient as
+    /// one contiguous run across the state axis.
+    columns: Vec<f32>,
     states: usize,
     assumed_std: f32,
 }
@@ -41,8 +45,12 @@ impl EmissionModel {
             weights.push(2.0 * mu * inv2s2); // coefficient of x
             weights.push(-mu * mu * inv2s2); // constant term
         }
+        let columns = (0..Self::FEATURES)
+            .flat_map(|f| weights.iter().skip(f).step_by(Self::FEATURES).copied())
+            .collect();
         EmissionModel {
             weights,
+            columns,
             states,
             assumed_std: sigma,
         }
@@ -66,6 +74,14 @@ impl EmissionModel {
         &self.weights
     }
 
+    /// The weight matrix as three per-state columns `[w0, w1, w2]` (the
+    /// coefficients of `x²`, `x` and `1`), each `states()` long.
+    pub(crate) fn columns(&self) -> [&[f32]; 3] {
+        let (w0, rest) = self.columns.split_at(self.states);
+        let (w1, w2) = rest.split_at(self.states);
+        [w0, w1, w2]
+    }
+
     /// The feature vector for a sample.
     #[inline]
     pub fn features(x: f32) -> [f32; 3] {
@@ -84,124 +100,6 @@ impl EmissionModel {
         for (s, o) in out.iter_mut().enumerate() {
             let row = &self.weights[s * Self::FEATURES..(s + 1) * Self::FEATURES];
             *o = row[0] * f[0] + row[1] * f[1] + row[2] * f[2];
-        }
-    }
-
-    /// Number of samples [`EmissionModel::log_likelihoods_block`] handles
-    /// per call; the decoder batches its emission MVMs in blocks of this
-    /// size to amortize call overhead and keep the weight matrix hot.
-    pub const BLOCK: usize = 8;
-
-    /// Computes emission log-likelihoods for up to [`EmissionModel::BLOCK`]
-    /// samples in one strided pass: `out[i * states + s]` receives the
-    /// log-likelihood of state `s` for sample `xs[i]`.
-    ///
-    /// Each output value is computed with the same operation order as
-    /// [`EmissionModel::log_likelihoods`], so the two are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len() > BLOCK` or `out.len() != xs.len() * states`.
-    pub fn log_likelihoods_block(&self, xs: &[f32], out: &mut [f32]) {
-        assert!(xs.len() <= Self::BLOCK, "block too large");
-        assert_eq!(
-            out.len(),
-            xs.len() * self.states,
-            "output buffer size mismatch"
-        );
-        let mut features = [[0.0f32; 3]; Self::BLOCK];
-        for (f, &x) in features.iter_mut().zip(xs) {
-            *f = Self::features(x);
-        }
-        for s in 0..self.states {
-            let row = &self.weights[s * Self::FEATURES..(s + 1) * Self::FEATURES];
-            let (w0, w1, w2) = (row[0], row[1], row[2]);
-            for (i, f) in features[..xs.len()].iter().enumerate() {
-                out[i * self.states + s] = w0 * f[0] + w1 * f[1] + w2 * f[2];
-            }
-        }
-    }
-
-    /// Computes emission log-likelihoods for a lane-interleaved block of
-    /// samples: `xs[i * lanes + l]` is sample `i` of lane `l`, and
-    /// `out[(i * states + s) * lanes + l]` receives the log-likelihood of
-    /// state `s` for that sample. The innermost loop walks lanes, so
-    /// consecutive output writes are stride-1 across the lane batch — the
-    /// CPU analogue of evaluating one crossbar MVM for W chunks at once.
-    ///
-    /// Each output value is computed with the same operation order as
-    /// [`EmissionModel::log_likelihoods`], so every lane is bit-identical
-    /// to a scalar decode of that lane alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`, `xs.len()` is not a multiple of `lanes`, the
-    /// per-lane sample count exceeds [`EmissionModel::BLOCK`], or
-    /// `out.len() != xs.len() * states`.
-    pub fn log_likelihoods_lanes(&self, xs: &[f32], lanes: usize, out: &mut [f32]) {
-        assert!(lanes > 0, "lane width must be positive");
-        assert_eq!(xs.len() % lanes, 0, "samples not a multiple of lane width");
-        let n = xs.len() / lanes;
-        assert!(n <= Self::BLOCK, "block too large");
-        assert_eq!(
-            out.len(),
-            xs.len() * self.states,
-            "output buffer size mismatch"
-        );
-        // Common lane widths get a monomorphized MVM whose inner loops have
-        // compile-time trip counts (see [`EmissionModel::lanes_mvm`]); the
-        // fallback covers every other width with the same arithmetic.
-        match lanes {
-            2 => self.lanes_mvm::<2>(xs, out),
-            3 => self.lanes_mvm::<3>(xs, out),
-            4 => self.lanes_mvm::<4>(xs, out),
-            5 => self.lanes_mvm::<5>(xs, out),
-            6 => self.lanes_mvm::<6>(xs, out),
-            7 => self.lanes_mvm::<7>(xs, out),
-            8 => self.lanes_mvm::<8>(xs, out),
-            12 => self.lanes_mvm::<12>(xs, out),
-            16 => self.lanes_mvm::<16>(xs, out),
-            _ => {
-                for i in 0..n {
-                    let row_in = &xs[i * lanes..(i + 1) * lanes];
-                    for s in 0..self.states {
-                        let row = &self.weights[s * Self::FEATURES..(s + 1) * Self::FEATURES];
-                        let (w0, w1, w2) = (row[0], row[1], row[2]);
-                        let row_out = &mut out[(i * self.states + s) * lanes..][..lanes];
-                        for (o, &x) in row_out.iter_mut().zip(row_in) {
-                            let f = Self::features(x);
-                            *o = w0 * f[0] + w1 * f[1] + w2 * f[2];
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Width-monomorphized body of [`EmissionModel::log_likelihoods_lanes`]:
-    /// the lane-interleaved buffers become `[f32; W]` rows (`as_chunks`), so
-    /// the per-lane loops are bounds-check-free with compile-time trip
-    /// counts, and `x²` is hoisted out of the state loop per row. Every
-    /// output value keeps [`EmissionModel::log_likelihoods`]'s operation
-    /// order exactly — `w0*(x*x) + w1*x + w2*1.0` with left-to-right adds,
-    /// and `w2 * 1.0` is bitwise `w2` for the finite weights — so the two
-    /// remain bit-identical.
-    fn lanes_mvm<const W: usize>(&self, xs: &[f32], out: &mut [f32]) {
-        let (xs_rows, _) = xs.as_chunks::<W>();
-        let (out_rows, _) = out.as_chunks_mut::<W>();
-        for (i, xr) in xs_rows.iter().enumerate() {
-            let mut x2 = [0.0f32; W];
-            for l in 0..W {
-                x2[l] = xr[l] * xr[l];
-            }
-            for s in 0..self.states {
-                let row = &self.weights[s * Self::FEATURES..(s + 1) * Self::FEATURES];
-                let (w0, w1, w2) = (row[0], row[1], row[2]);
-                let o = &mut out_rows[i * self.states + s];
-                for l in 0..W {
-                    o[l] = w0 * x2[l] + w1 * xr[l] + w2;
-                }
-            }
         }
     }
 
@@ -275,76 +173,6 @@ mod tests {
         for s in 0..em.states() {
             assert_eq!(em.log_likelihood(100.0, s), out[s]);
         }
-    }
-
-    #[test]
-    fn block_matches_single_sample_calls() {
-        let (_, em) = model();
-        let xs = [80.0f32, 95.5, 101.25, 60.0, 120.0];
-        let mut block = vec![0.0f32; xs.len() * em.states()];
-        em.log_likelihoods_block(&xs, &mut block);
-        let mut single = vec![0.0f32; em.states()];
-        for (i, &x) in xs.iter().enumerate() {
-            em.log_likelihoods(x, &mut single);
-            assert_eq!(
-                &block[i * em.states()..(i + 1) * em.states()],
-                &single[..],
-                "sample {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn lanes_match_block_per_lane() {
-        let (_, em) = model();
-        // 3 samples × 4 lanes, lane values distinct so a layout bug shows.
-        let per_lane: [&[f32]; 4] = [
-            &[80.0, 95.5, 101.25],
-            &[60.0, 120.0, 77.7],
-            &[99.0, 99.0, 99.0],
-            &[-5.0, 0.0, 250.0],
-        ];
-        let lanes = per_lane.len();
-        let n = per_lane[0].len();
-        let mut xs = vec![0.0f32; n * lanes];
-        for (l, lane) in per_lane.iter().enumerate() {
-            for (i, &x) in lane.iter().enumerate() {
-                xs[i * lanes + l] = x;
-            }
-        }
-        let mut out = vec![0.0f32; xs.len() * em.states()];
-        em.log_likelihoods_lanes(&xs, lanes, &mut out);
-        for (l, lane) in per_lane.iter().enumerate() {
-            let mut block = vec![0.0f32; n * em.states()];
-            em.log_likelihoods_block(lane, &mut block);
-            for i in 0..n {
-                for s in 0..em.states() {
-                    assert_eq!(
-                        out[(i * em.states() + s) * lanes + l],
-                        block[i * em.states() + s],
-                        "lane {l} sample {i} state {s}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "block too large")]
-    fn oversized_lane_block_panics() {
-        let (_, em) = model();
-        let xs = [0.0f32; (EmissionModel::BLOCK + 1) * 2];
-        let mut out = vec![0.0f32; xs.len() * em.states()];
-        em.log_likelihoods_lanes(&xs, 2, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "block too large")]
-    fn oversized_block_panics() {
-        let (_, em) = model();
-        let xs = [0.0f32; EmissionModel::BLOCK + 1];
-        let mut out = vec![0.0f32; xs.len() * em.states()];
-        em.log_likelihoods_block(&xs, &mut out);
     }
 
     #[test]

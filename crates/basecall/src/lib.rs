@@ -50,8 +50,7 @@ pub mod viterbi;
 
 pub use basecaller::{
     BasecalledChunk, BasecalledRead, Basecaller, CallScratch, CarryState, ChunkJob, LaneDecoder,
-    LaneScratch, ReadDecoder, SignalFault,
+    LaneScratch, ReadDecoder, SignalFault, MAX_LANES,
 };
 pub use emission::EmissionModel;
 pub use quality::QualityCalibration;
-pub use viterbi::MAX_LANES;

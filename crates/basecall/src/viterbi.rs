@@ -10,19 +10,51 @@
 //! # Hot-path organization
 //!
 //! The decode is the dominant kernel of the whole pipeline (n·n_states DP
-//! cells per chunk), so the implementation is built for steady-state reuse:
+//! cells per chunk). Every DP row after the first goes through one exact
+//! row kernel that is vectorised across the **state** axis:
 //!
-//! * all working memory lives in a caller-owned [`DecodeScratch`], so
-//!   decoding a stream of equally sized chunks performs **zero heap
-//!   allocations** after the first chunk warms the buffers;
-//! * emissions are computed in strided blocks of [`EmissionModel::BLOCK`]
-//!   samples per call ([`EmissionModel::log_likelihoods_block`]), amortizing
-//!   per-call overhead;
-//! * the inner DP loop exploits the state-space structure: the advance
-//!   predecessor set of state `s` depends only on `s >> 2`, so the
-//!   4-predecessor gather is hoisted out and computed once per predecessor
-//!   group (a 4× reduction of the gather work), leaving two flat passes the
-//!   compiler can autovectorize.
+//! * **Layout.** Let `G = n_states / 4`. State `s = 4g + b` advances from
+//!   the four predecessors `c·G + g` (`c` = the base that drops off the
+//!   front of the k-mer), so the advance predecessors depend only on the
+//!   group `g = s >> 2`, and the predecessors of group `g` sit at offset `g`
+//!   of four contiguous `G`-long slices of the previous row.
+//! * **Pass 1 (per group)** takes the elementwise best of those four slices
+//!   and adds `log_advance`, remembering which slice won (choice `1 + c`).
+//!   It is an elementwise operation over `g`. Each group's result is then
+//!   copied to its four states, so pass 2 reads it at stride 1 (a
+//!   `s / 4`-indexed read inside pass 2 keeps the loop from vectorising).
+//! * **Pass 2 (per state)** fuses the emission MVM into the row:
+//!   `e = w0[s]·x² + w1[s]·x + w2[s]` from the structure-of-arrays weight
+//!   columns, then the branch-free stay-vs-advance select
+//!   `curr[s] = (take ? adv[g] : prev[s] + log_stay) + e` with
+//!   `take = adv[g] > prev[s] + log_stay`, and the backpointer
+//!   `take ? choice[g] : 0` (written as a byte mask, so it stays a select
+//!   rather than a branch).
+//! * **Monomorphised.** The row loop is instantiated for every pore k in
+//!   `1..=6` (`S` = 4…4096 states, `G = S / 4`) behind one `match` on the
+//!   state count, so every loop has a compile-time trip count and the row
+//!   buffers are `&[f32; S]` without bounds checks.
+//! * **Dispatch.** On x86_64 the row loop is compiled a second time with
+//!   AVX2 enabled and chosen at run time when the CPU supports it; the
+//!   portable instantiation is the fallback.
+//!
+//! **Exactness.** Both instantiations produce exactly the bits of the plain
+//! per-sample scalar Viterbi (kept verbatim as the oracle in
+//! `tests/viterbi_oracle.rs`):
+//!
+//! * pass 1 compares with strict `>` in `c` order, so ties go to the lowest
+//!   `c`, as in a scalar loop over the four predecessors;
+//! * in pass 2 the stay wins ties (`take` is a strict `>`);
+//! * every value is computed by the same operations in the same order: the
+//!   emission is [`EmissionModel::log_likelihoods`]' `w0·(x·x) + w1·x +
+//!   w2·1` (and `w2·1 == w2`), and the score adds it to the selected
+//!   candidate;
+//! * there is no FMA: Rust never contracts a multiply and an add, and the
+//!   AVX2 build does not enable `fma`, so both targets round identically.
+//!
+//! All working memory lives in a caller-owned [`DecodeScratch`], so
+//! decoding a stream of equally sized chunks performs **zero heap
+//! allocations** after the first chunk warms the buffers.
 
 use crate::emission::EmissionModel;
 
@@ -66,16 +98,17 @@ pub struct DecodeStats {
 
 /// Reusable decode workspace.
 ///
-/// Holds every buffer the DP needs (backpointers, score rows, emission
-/// block, the hoisted advance-gather rows, and the output state path).
-/// Buffers grow to the largest chunk seen and are then reused, so a
-/// steady-state stream of chunks decodes without touching the allocator.
+/// Holds every buffer the DP needs (backpointers, the two score rows, the
+/// advance candidates per group and per state, and the output state path). Buffers grow to the
+/// largest chunk seen and are then reused, so a steady-state stream of
+/// chunks decodes without touching the allocator.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
     backptr: Vec<u8>,
     prev: Vec<f32>,
     curr: Vec<f32>,
-    emit: Vec<f32>,
+    group_best: Vec<f32>,
+    group_choice: Vec<u8>,
     adv_best: Vec<f32>,
     adv_choice: Vec<u8>,
     states: Vec<u16>,
@@ -103,25 +136,22 @@ impl DecodeScratch {
         self.states.last().copied()
     }
 
-    /// Grows every buffer for an `n`-sample, `n_states`-state decode.
-    /// `resize` reuses existing capacity, so this allocates only when a
-    /// larger chunk than ever before arrives.
+    /// Sizes every buffer for an `n`-sample, `n_states`-state decode.
+    ///
+    /// No buffer is cleared: the decode overwrites every entry it reads
+    /// back, except backpointer row 0, which the stitched init writes
+    /// sparsely and [`decode_on`] zeroes itself. `resize` reuses existing
+    /// capacity, so this allocates only when a larger chunk than ever
+    /// before arrives.
     fn prepare(&mut self, n: usize, n_states: usize) {
-        self.backptr.clear();
         self.backptr.resize(n * n_states, 0);
-        self.prev.clear();
         self.prev.resize(n_states, 0.0);
-        self.curr.clear();
         self.curr.resize(n_states, 0.0);
-        self.emit.clear();
-        self.emit.resize(EmissionModel::BLOCK * n_states, 0.0);
-        self.adv_best.clear();
-        self.adv_best.resize(n_states / 4, 0.0);
-        self.adv_choice.clear();
-        self.adv_choice.resize(n_states / 4, 0);
-        self.states.clear();
+        self.group_best.resize(n_states / 4, 0.0);
+        self.group_choice.resize(n_states / 4, 0);
+        self.adv_best.resize(n_states, 0.0);
+        self.adv_choice.resize(n_states, 0);
         self.states.resize(n, 0);
-        self.advanced.clear();
         self.advanced.resize(n, false);
     }
 }
@@ -195,48 +225,80 @@ pub fn decode_with(
     init_state: Option<u16>,
     scratch: &mut DecodeScratch,
 ) -> DecodeStats {
+    decode_on(
+        Target::detect(),
+        emission,
+        samples,
+        transitions,
+        init_state,
+        scratch,
+    )
+}
+
+/// The instruction set a row kernel instantiation is compiled for.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// The baseline target of the build.
+    Portable,
+    /// x86_64 with AVX2. Only constructed once the running CPU is known to
+    /// support AVX2 ([`Target::detect`], or a test that checked first).
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Target {
+    /// The fastest target the running CPU supports.
+    fn detect() -> Target {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Target::Avx2;
+        }
+        Target::Portable
+    }
+}
+
+/// [`decode_with`] on an explicit row-kernel target.
+fn decode_on(
+    target: Target,
+    emission: &EmissionModel,
+    samples: &[f32],
+    transitions: Transitions,
+    init_state: Option<u16>,
+    scratch: &mut DecodeScratch,
+) -> DecodeStats {
     let n_states = emission.states();
     debug_assert!(n_states.is_power_of_two() && n_states >= 4);
     let n = samples.len();
     scratch.prepare(n, n_states);
     if n == 0 {
-        return DecodeStats {
-            score: 0.0,
-            mvm_ops: 0,
-            cells: 0,
-        };
+        return DecodeStats::default();
     }
     let k_shift = (n_states.trailing_zeros() - 2) as usize; // 2(k-1) bits
-    let n_groups = n_states >> 2;
-    let neg_inf = f32::NEG_INFINITY;
     let log_stay = transitions.log_stay;
     let log_advance = transitions.log_advance;
 
+    // Row 0. `curr` holds its emissions until row 1 overwrites it.
+    // Backpointers: 0 = stay, 1 + c = advance where the dropped leading base
+    // was c (predecessor = (s >> 2) | (c << k_shift)).
     let DecodeScratch {
         backptr,
         prev,
         curr,
-        emit,
-        adv_best,
-        adv_choice,
-        states,
-        advanced,
+        ..
     } = scratch;
-
-    // Backpointers: 0 = stay, 1 + c = advance where the dropped leading base
-    // was c (predecessor = (s >> 2) | (c << k_shift)).
-    emission.log_likelihoods(samples[0], &mut emit[..n_states]);
+    emission.log_likelihoods(samples[0], curr);
+    backptr[..n_states].fill(0);
     match init_state {
         Some(s0) => {
             // The previous chunk ended in s0; crossing the chunk boundary is
             // one ordinary HMM step, so the first sample either stays in s0
             // or advances into one of its successors.
             let s0 = s0 as usize;
-            prev.fill(neg_inf);
-            prev[s0] = emit[s0] + log_stay;
+            prev.fill(f32::NEG_INFINITY);
+            prev[s0] = curr[s0] + log_stay;
             for b in 0..4usize {
                 let succ = ((s0 << 2) | b) & (n_states - 1);
-                let cand = emit[succ] + log_advance;
+                let cand = curr[succ] + log_advance;
                 if cand > prev[succ] {
                     prev[succ] = cand;
                     // Dropped leading base of the advance = s0's top 2 bits.
@@ -244,55 +306,31 @@ pub fn decode_with(
                 }
             }
         }
-        None => {
-            prev.copy_from_slice(&emit[..n_states]);
-        }
+        None => prev.copy_from_slice(curr),
     }
 
-    // Main DP, in emission blocks: samples [t0, t0 + len) share one strided
-    // emission computation.
-    let mut t0 = 1usize;
-    while t0 < n {
-        let len = EmissionModel::BLOCK.min(n - t0);
-        emission.log_likelihoods_block(&samples[t0..t0 + len], &mut emit[..len * n_states]);
-        for i in 0..len {
-            let t = t0 + i;
-            let emit_row = &emit[i * n_states..(i + 1) * n_states];
-            let bp = &mut backptr[t * n_states..(t + 1) * n_states];
-
-            // Pass 1 (hoisted gather): the advance candidates of state `s`
-            // depend only on `low = s >> 2`, so find, per group, the best of
-            // the 4 predecessors `low | (c << k_shift)` once instead of four
-            // times per state.
-            for low in 0..n_groups {
-                let mut best = prev[low];
-                let mut choice = 1u8; // c = 0
-                for c in 1..4usize {
-                    let v = prev[low | (c << k_shift)];
-                    if v > best {
-                        best = v;
-                        choice = 1 + c as u8;
-                    }
-                }
-                adv_best[low] = best + log_advance;
-                adv_choice[low] = choice;
-            }
-
-            // Pass 2: flat stay-vs-advance select over all states.
-            for s in 0..n_states {
-                let stay = prev[s] + log_stay;
-                let adv = adv_best[s >> 2];
-                if adv > stay {
-                    curr[s] = adv + emit_row[s];
-                    bp[s] = adv_choice[s >> 2];
-                } else {
-                    curr[s] = stay + emit_row[s];
-                    bp[s] = 0;
-                }
-            }
-            std::mem::swap(prev, curr);
-        }
-        t0 += len;
+    // Rows 1..n.
+    match n_states {
+        4 => dp_rows_on::<1, 4>(target, emission, transitions, samples, scratch),
+        16 => dp_rows_on::<4, 16>(target, emission, transitions, samples, scratch),
+        64 => dp_rows_on::<16, 64>(target, emission, transitions, samples, scratch),
+        256 => dp_rows_on::<64, 256>(target, emission, transitions, samples, scratch),
+        1024 => dp_rows_on::<256, 1024>(target, emission, transitions, samples, scratch),
+        4096 => dp_rows_on::<1024, 4096>(target, emission, transitions, samples, scratch),
+        _ => panic!("unsupported state count {n_states}: pore k must be in 1..=6"),
+    }
+    let DecodeScratch {
+        backptr,
+        prev,
+        curr,
+        states,
+        advanced,
+        ..
+    } = scratch;
+    // The row loop alternates its two buffers; after an odd number of rows
+    // the last row sits in `curr`.
+    if (n - 1) % 2 == 1 {
+        std::mem::swap(prev, curr);
     }
 
     // Traceback.
@@ -317,9 +355,7 @@ pub fn decode_with(
     // Sample 0 advanced only if we were stitched to a previous chunk and the
     // winning path took the boundary-advance branch. states[0] then already
     // holds the advanced-into state, which is what callers emit from.
-    if init_state.is_some() {
-        advanced[0] = backptr[state] != 0;
-    }
+    advanced[0] = init_state.is_some() && backptr[state] != 0;
 
     DecodeStats {
         score,
@@ -328,648 +364,156 @@ pub fn decode_with(
     }
 }
 
-/// Maximum lane width of [`decode_lanes_with`]; widths are clamped to this
-/// everywhere a knob supplies them.
-pub const MAX_LANES: usize = 16;
-
-/// One decode job for the lane-batched decoder: a chunk of samples plus the
-/// optional carried state pinning its first step — exactly [`decode_with`]'s
-/// `samples` and `init_state` arguments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LaneJob<'a> {
-    /// The chunk's signal samples.
-    pub samples: &'a [f32],
-    /// Final state of the previous chunk of the same read, if any.
-    pub init_state: Option<u16>,
-}
-
-/// Per-job result of a lane-batched decode, bit-identical to what
-/// [`decode_with`] leaves in a [`DecodeScratch`] for the same job.
-#[derive(Debug, Clone, Default)]
-pub struct LaneOutcome {
-    states: Vec<u16>,
-    advanced: Vec<bool>,
-    stats: DecodeStats,
-}
-
-impl LaneOutcome {
-    /// Decoded state per sample.
-    pub fn states(&self) -> &[u16] {
-        &self.states
-    }
-
-    /// Per-sample advance flags.
-    pub fn advanced(&self) -> &[bool] {
-        &self.advanced
-    }
-
-    /// Score and work counters of this job's decode.
-    pub fn stats(&self) -> DecodeStats {
-        self.stats
-    }
-
-    /// The state occupying the pore after the job's last sample.
-    pub fn final_state(&self) -> Option<u16> {
-        self.states.last().copied()
-    }
-}
-
-/// Reusable workspace of [`decode_lanes_with`].
-///
-/// All lane-interleaved buffers live here: score rows `prev[s * W + l]`,
-/// emission blocks `emit[(i * n_states + s) * W + l]`, the gathered sample
-/// block `xs[i * W + l]`, the hoisted advance-gather rows, and one flat
-/// backpointer arena holding a `max_n × n_states` plane per lane. Buffers
-/// grow to the largest batch seen and are then reused, so a steady-state
-/// stream of equally shaped batches decodes without touching the allocator.
-#[derive(Debug, Clone, Default)]
-pub struct LaneDecodeScratch {
-    prev: Vec<f32>,
-    curr: Vec<f32>,
-    emit: Vec<f32>,
-    emit0: Vec<f32>,
-    xs: Vec<f32>,
-    adv_best: Vec<f32>,
-    adv_choice: Vec<u8>,
-    bp_row: Vec<u8>,
-    backptr: Vec<u8>,
-    plane_stride: usize,
-    outputs: Vec<LaneOutcome>,
-}
-
-impl LaneDecodeScratch {
-    /// Creates an empty workspace; buffers are sized lazily on first use.
-    pub fn new() -> LaneDecodeScratch {
-        LaneDecodeScratch::default()
-    }
-
-    /// Result of job `job` from the most recent [`decode_lanes_with`] call.
-    pub fn outcome(&self, job: usize) -> &LaneOutcome {
-        &self.outputs[job]
-    }
-
-    fn prepare(&mut self, jobs: &[LaneJob], width: usize, n_states: usize) {
-        let max_n = jobs.iter().map(|j| j.samples.len()).max().unwrap_or(0);
-        self.plane_stride = max_n * n_states;
-        self.backptr.clear();
-        self.backptr.resize(width * self.plane_stride, 0);
-        self.prev.clear();
-        self.prev.resize(n_states * width, 0.0);
-        self.curr.clear();
-        self.curr.resize(n_states * width, 0.0);
-        self.emit.clear();
-        self.emit
-            .resize(EmissionModel::BLOCK * n_states * width, 0.0);
-        self.emit0.clear();
-        self.emit0.resize(n_states, 0.0);
-        self.xs.clear();
-        self.xs.resize(EmissionModel::BLOCK * width, 0.0);
-        self.adv_best.clear();
-        self.adv_best.resize((n_states / 4) * width, 0.0);
-        self.adv_choice.clear();
-        self.adv_choice.resize((n_states / 4) * width, 0);
-        self.bp_row.clear();
-        self.bp_row.resize(n_states * width, 0);
-        // Never shrink: dropping per-job buffers would force a re-allocation
-        // the next time a batch this large arrives.
-        if self.outputs.len() < jobs.len() {
-            self.outputs.resize_with(jobs.len(), LaneOutcome::default);
-        }
-    }
-}
-
-/// Pops jobs off the queue into lane `l` until one survives its init row.
-///
-/// Empty jobs record an empty outcome and are skipped; single-sample jobs
-/// are finalized immediately (their decode is just the init row) and the
-/// lane pulls again. Writes the surviving job's first-sample scores into
-/// lane `l`'s column of `prev` with the exact operation order of
-/// [`decode_with`]'s init, so stitching stays bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn lane_fill(
+/// Runs rows `1..samples.len()` through the row kernel instantiation for
+/// `target`.
+fn dp_rows_on<const G: usize, const S: usize>(
+    target: Target,
     emission: &EmissionModel,
     transitions: Transitions,
-    jobs: &[LaneJob],
-    next_job: &mut usize,
-    l: usize,
-    width: usize,
-    plane_stride: usize,
-    k_shift: usize,
-    job_of: &mut [usize],
-    pos: &mut [usize],
-    len_of: &mut [usize],
-    active: &mut [bool],
-    prev: &mut [f32],
-    backptr: &mut [u8],
-    emit0: &mut [f32],
-    outputs: &mut [LaneOutcome],
+    samples: &[f32],
+    scratch: &mut DecodeScratch,
 ) {
-    let n_states = emission.states();
-    loop {
-        if *next_job >= jobs.len() {
-            active[l] = false;
-            return;
-        }
-        let j = *next_job;
-        *next_job += 1;
-        let job = jobs[j];
-        let n = job.samples.len();
-        {
-            let out = &mut outputs[j];
-            out.states.clear();
-            out.advanced.clear();
-            out.stats = DecodeStats::default();
-            if n == 0 {
-                continue;
-            }
-            out.states.resize(n, 0);
-            out.advanced.resize(n, false);
-        }
-        emission.log_likelihoods(job.samples[0], &mut emit0[..n_states]);
-        // Row 0 of this lane's backpointer plane may hold the previous
-        // job's entries; the init only writes improved successors, so
-        // clear it first (rows 1.. are fully overwritten by the DP).
-        backptr[l * plane_stride..l * plane_stride + n_states].fill(0);
-        match job.init_state {
-            Some(s0) => {
-                let s0 = s0 as usize;
-                for s in 0..n_states {
-                    prev[s * width + l] = f32::NEG_INFINITY;
-                }
-                prev[s0 * width + l] = emit0[s0] + transitions.log_stay;
-                for b in 0..4usize {
-                    let succ = ((s0 << 2) | b) & (n_states - 1);
-                    let cand = emit0[succ] + transitions.log_advance;
-                    if cand > prev[succ * width + l] {
-                        prev[succ * width + l] = cand;
-                        backptr[l * plane_stride + succ] = 1 + (s0 >> k_shift) as u8;
-                    }
-                }
-            }
-            None => {
-                for s in 0..n_states {
-                    prev[s * width + l] = emit0[s];
-                }
-            }
-        }
-        job_of[l] = j;
-        pos[l] = 1;
-        len_of[l] = n;
-        active[l] = true;
-        if n == 1 {
-            let plane = &backptr[l * plane_stride..l * plane_stride + n_states];
-            lane_traceback(
-                l,
-                width,
-                n_states,
-                k_shift,
-                job.init_state.is_some(),
-                prev,
-                plane,
-                &mut outputs[j],
-            );
-            active[l] = false;
-            continue;
-        }
-        return;
+    match target {
+        Target::Portable => dp_rows::<G, S>(emission, transitions, samples, scratch),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Target::Avx2` only exists once AVX2 support was detected.
+        Target::Avx2 => unsafe { dp_rows_avx2::<G, S>(emission, transitions, samples, scratch) },
     }
 }
 
-/// Traces lane `l`'s winning path out of its backpointer plane; identical
-/// control flow to [`decode_with`]'s traceback over a strided score column.
-#[allow(clippy::too_many_arguments)]
-fn lane_traceback(
-    l: usize,
-    width: usize,
-    n_states: usize,
-    k_shift: usize,
-    stitched: bool,
-    prev: &[f32],
-    plane: &[u8],
-    out: &mut LaneOutcome,
+/// [`dp_rows`] compiled with AVX2 enabled. `fma` stays off on purpose: the
+/// rows must round exactly like the portable build (see the module docs).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dp_rows_avx2<const G: usize, const S: usize>(
+    emission: &EmissionModel,
+    transitions: Transitions,
+    samples: &[f32],
+    scratch: &mut DecodeScratch,
 ) {
-    let n = out.states.len();
-    let (mut state, score) = (0..n_states)
-        .map(|s| prev[s * width + l])
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
-        .map(|(s, v)| (s, v as f64))
-        .expect("non-empty state space");
-    for t in (1..n).rev() {
-        out.states[t] = state as u16;
-        let choice = plane[t * n_states + state];
-        if choice == 0 {
-            out.advanced[t] = false;
-        } else {
-            out.advanced[t] = true;
-            let c = (choice - 1) as usize;
-            state = (state >> 2) | (c << k_shift);
-        }
-    }
-    out.states[0] = state as u16;
-    if stitched {
-        out.advanced[0] = plane[state] != 0;
-    }
-    out.stats = DecodeStats {
-        score,
-        mvm_ops: n,
-        cells: n * n_states,
-    };
+    dp_rows::<G, S>(emission, transitions, samples, scratch)
 }
 
-/// One full-occupancy DP row (hoisted advance gather + stay-vs-advance
-/// select) across `W` lockstep lanes, monomorphized over the lane width.
-///
-/// The const width turns the interleaved buffers into `[T; W]` rows
-/// (`as_chunks`), so every inner lane loop has a compile-time trip count
-/// and no per-element bounds checks — which is what lets the
-/// autovectorizer turn the stride-1 selects into SIMD compare/blend over
-/// the lane rows. With a runtime width the 4–16-iteration inner loops
-/// never reach the vector body. The arithmetic is exactly
-/// [`dp_row_any`]'s (and therefore [`decode_with`]'s), value for value:
-/// the gather's unrolled comparisons replicate the scalar `c in 1..4`
-/// loop order, strict `>` and all.
+/// Computes DP rows `1..samples.len()` from row 0 in `scratch.prev`,
+/// alternating the two score buffers: row `t` lands in `prev` for even `t`
+/// and in `curr` for odd `t`. `S` is the state count and `G = S / 4`.
+#[inline(always)]
+fn dp_rows<const G: usize, const S: usize>(
+    emission: &EmissionModel,
+    transitions: Transitions,
+    samples: &[f32],
+    scratch: &mut DecodeScratch,
+) {
+    let [w0, w1, w2] = emission.columns().map(as_row::<f32, S>);
+    let mut prev: &mut [f32; S] = as_row_mut(&mut scratch.prev);
+    let mut curr: &mut [f32; S] = as_row_mut(&mut scratch.curr);
+    let group_best: &mut [f32; G] = as_row_mut(&mut scratch.group_best);
+    let group_choice: &mut [u8; G] = as_row_mut(&mut scratch.group_choice);
+    let adv_best: &mut [f32; S] = as_row_mut(&mut scratch.adv_best);
+    let adv_choice: &mut [u8; S] = as_row_mut(&mut scratch.adv_choice);
+    let (bp_rows, _) = scratch.backptr.as_chunks_mut::<S>();
+    for (&x, bp) in samples[1..].iter().zip(&mut bp_rows[1..]) {
+        dp_row::<G, S>(
+            x,
+            transitions,
+            w0,
+            w1,
+            w2,
+            prev,
+            group_best,
+            group_choice,
+            adv_best,
+            adv_choice,
+            curr,
+            bp,
+        );
+        std::mem::swap(&mut prev, &mut curr);
+    }
+}
+
+/// One DP row: `curr` and its backpointers `bp` from the previous row
+/// `prev` and the sample `x`, with `w0..w2` the emission weight columns. The
+/// advance candidates pass through `group_*` (per group) and `adv_*` (the
+/// same values broadcast to each group's four states).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn dp_row_lockstep<const W: usize>(
-    n_states: usize,
-    k_shift: usize,
-    log_stay: f32,
-    log_advance: f32,
-    prev: &[f32],
-    curr: &mut [f32],
-    emit_row: &[f32],
-    adv_best: &mut [f32],
-    adv_choice: &mut [u8],
-    bp_row: &mut [u8],
-) {
-    let n_groups = n_states >> 2;
-    let (prev_rows, _) = prev.as_chunks::<W>();
-    let (curr_rows, _) = curr.as_chunks_mut::<W>();
-    let (emit_rows, _) = emit_row.as_chunks::<W>();
-    let (best_rows, _) = adv_best.as_chunks_mut::<W>();
-    let (choice_rows, _) = adv_choice.as_chunks_mut::<W>();
-    let (bp_rows, _) = bp_row.as_chunks_mut::<W>();
-    for low in 0..n_groups {
-        let p0 = &prev_rows[low];
-        let p1 = &prev_rows[low | (1 << k_shift)];
-        let p2 = &prev_rows[low | (2 << k_shift)];
-        let p3 = &prev_rows[low | (3 << k_shift)];
-        let best_row = &mut best_rows[low];
-        let choice_row = &mut choice_rows[low];
-        for l in 0..W {
-            let mut best = p0[l];
-            let mut choice = 1u8;
-            if p1[l] > best {
-                best = p1[l];
-                choice = 2;
-            }
-            if p2[l] > best {
-                best = p2[l];
-                choice = 3;
-            }
-            if p3[l] > best {
-                best = p3[l];
-                choice = 4;
-            }
-            best_row[l] = best + log_advance;
-            choice_row[l] = choice;
-        }
-    }
-    for s in 0..n_states {
-        let g = s >> 2;
-        let pr = &prev_rows[s];
-        let er = &emit_rows[s];
-        let ab = &best_rows[g];
-        let ac = &choice_rows[g];
-        let cu = &mut curr_rows[s];
-        let bp = &mut bp_rows[s];
-        for l in 0..W {
-            let stay = pr[l] + log_stay;
-            let adv = ab[l];
-            let e = er[l];
-            let take = adv > stay;
-            cu[l] = if take { adv + e } else { stay + e };
-            bp[l] = if take { ac[l] } else { 0 };
-        }
-    }
-}
-
-/// Runtime-width fallback of [`dp_row_lockstep`] for widths outside the
-/// specialized set; same arithmetic, value for value.
-#[allow(clippy::too_many_arguments)]
-fn dp_row_any(
-    width: usize,
-    n_states: usize,
-    k_shift: usize,
-    log_stay: f32,
-    log_advance: f32,
-    prev: &[f32],
-    curr: &mut [f32],
-    emit_row: &[f32],
-    adv_best: &mut [f32],
-    adv_choice: &mut [u8],
-    bp_row: &mut [u8],
-) {
-    let n_groups = n_states >> 2;
-    for low in 0..n_groups {
-        for l in 0..width {
-            let mut best = prev[low * width + l];
-            let mut choice = 1u8;
-            for c in 1..4usize {
-                let v = prev[(low | (c << k_shift)) * width + l];
-                if v > best {
-                    best = v;
-                    choice = 1 + c as u8;
-                }
-            }
-            adv_best[low * width + l] = best + log_advance;
-            adv_choice[low * width + l] = choice;
-        }
-    }
-    for s in 0..n_states {
-        let g = s >> 2;
-        for l in 0..width {
-            let stay = prev[s * width + l] + log_stay;
-            let adv = adv_best[g * width + l];
-            let e = emit_row[s * width + l];
-            let take = adv > stay;
-            curr[s * width + l] = if take { adv + e } else { stay + e };
-            bp_row[s * width + l] = if take { adv_choice[g * width + l] } else { 0 };
-        }
-    }
-}
-
-/// Decodes a queue of independent chunk jobs through `width` lockstep lanes.
-///
-/// The DP state is laid out structure-of-arrays: the score of state `s` in
-/// lane `l` lives at `prev[s * width + l]`, so the inner stay-vs-advance
-/// select walks all lanes of a state with stride-1 access and one emission
-/// call ([`EmissionModel::log_likelihoods_lanes`]) serves a whole
-/// sample-block × lane batch. Lanes run independent cursors: a lane whose
-/// job ends mid-block is finalized (traceback) on the spot and refilled
-/// from the queue without stalling the other lanes, so `jobs.len()` may
-/// exceed `width`.
-///
-/// Every job's outcome — states, advance flags, score, and counters, read
-/// back via [`LaneDecodeScratch::outcome`] — is **bit-identical** to a
-/// scalar [`decode_with`] of that job alone, for every `width`: lanes never
-/// mix arithmetically, and each lane executes the scalar path's exact
-/// per-value operation order (emission, init, hoisted gather, select,
-/// traceback). `width == 1` *is* the scalar schedule.
-///
-/// # Panics
-///
-/// Panics if `width` is 0 or exceeds [`MAX_LANES`], or (like the scalar
-/// path) if a job's samples produce non-finite scores.
-pub fn decode_lanes_with(
-    emission: &EmissionModel,
+fn dp_row<const G: usize, const S: usize>(
+    x: f32,
     transitions: Transitions,
-    jobs: &[LaneJob],
-    width: usize,
-    scratch: &mut LaneDecodeScratch,
+    w0: &[f32; S],
+    w1: &[f32; S],
+    w2: &[f32; S],
+    prev: &[f32; S],
+    group_best: &mut [f32; G],
+    group_choice: &mut [u8; G],
+    adv_best: &mut [f32; S],
+    adv_choice: &mut [u8; S],
+    curr: &mut [f32; S],
+    bp: &mut [u8; S],
 ) {
-    assert!(
-        (1..=MAX_LANES).contains(&width),
-        "lane width must be in 1..={MAX_LANES}"
-    );
-    let n_states = emission.states();
-    debug_assert!(n_states.is_power_of_two() && n_states >= 4);
-    let k_shift = (n_states.trailing_zeros() - 2) as usize;
-    let n_groups = n_states >> 2;
-    let log_stay = transitions.log_stay;
-    let log_advance = transitions.log_advance;
+    let Transitions {
+        log_stay,
+        log_advance,
+    } = transitions;
 
-    scratch.prepare(jobs, width, n_states);
-    let LaneDecodeScratch {
-        prev,
-        curr,
-        emit,
-        emit0,
-        xs,
-        adv_best,
-        adv_choice,
-        bp_row,
-        backptr,
-        plane_stride,
-        outputs,
-    } = scratch;
-    let plane_stride = *plane_stride;
-
-    let mut job_of = [usize::MAX; MAX_LANES];
-    let mut pos = [0usize; MAX_LANES];
-    let mut len_of = [0usize; MAX_LANES];
-    let mut active = [false; MAX_LANES];
-    let mut blocklen = [0usize; MAX_LANES];
-    let mut next_job = 0usize;
-
-    for l in 0..width {
-        lane_fill(
-            emission,
-            transitions,
-            jobs,
-            &mut next_job,
-            l,
-            width,
-            plane_stride,
-            k_shift,
-            &mut job_of,
-            &mut pos,
-            &mut len_of,
-            &mut active,
-            prev,
-            backptr,
-            emit0,
-            outputs,
-        );
+    // Pass 1: per group g, the best of the four advance predecessors c·G + g
+    // — the same offset in four contiguous quarters of `prev`.
+    let (quarters, _) = prev.as_chunks::<G>();
+    let (p0, p1, p2, p3) = (&quarters[0], &quarters[1], &quarters[2], &quarters[3]);
+    for g in 0..G {
+        let mut best = p0[g];
+        let mut choice = 1u8;
+        if p1[g] > best {
+            best = p1[g];
+            choice = 2;
+        }
+        if p2[g] > best {
+            best = p2[g];
+            choice = 3;
+        }
+        if p3[g] > best {
+            best = p3[g];
+            choice = 4;
+        }
+        group_best[g] = best + log_advance;
+        group_choice[g] = choice;
+    }
+    // Broadcast each group's candidate to its states 4g..4g+4, so pass 2 is
+    // one elementwise loop (a stride-¼ read inside it does not vectorise).
+    for g in 0..G {
+        for b in 0..4 {
+            adv_best[4 * g + b] = group_best[g];
+            adv_choice[4 * g + b] = group_choice[g];
+        }
     }
 
-    loop {
-        // Per-lane block lengths: each lane consumes up to BLOCK of its own
-        // remaining samples, so lanes holding chunks of different lengths
-        // desynchronize without stalling each other.
-        let mut maxlen = 0usize;
-        for l in 0..width {
-            blocklen[l] = if active[l] {
-                EmissionModel::BLOCK.min(len_of[l] - pos[l])
-            } else {
-                0
-            };
-            maxlen = maxlen.max(blocklen[l]);
-        }
-        if maxlen == 0 {
-            break;
-        }
-
-        // Gather the sample block lane-interleaved (0.0 pads lanes that run
-        // short; their rows are masked off below) and compute the whole
-        // block × batch emission in one widened MVM call.
-        for i in 0..maxlen {
-            for l in 0..width {
-                xs[i * width + l] = if i < blocklen[l] {
-                    jobs[job_of[l]].samples[pos[l] + i]
-                } else {
-                    0.0
-                };
-            }
-        }
-        emission.log_likelihoods_lanes(
-            &xs[..maxlen * width],
-            width,
-            &mut emit[..maxlen * n_states * width],
-        );
-
-        for i in 0..maxlen {
-            let emit_row = &emit[i * n_states * width..(i + 1) * n_states * width];
-            let mut row_active = 0usize;
-            let mut bpoff = [0usize; MAX_LANES];
-            for l in 0..width {
-                if i < blocklen[l] {
-                    row_active += 1;
-                    bpoff[l] = l * plane_stride + (pos[l] + i) * n_states;
-                }
-            }
-
-            // Both DP passes (hoisted advance gather + stay-vs-advance
-            // select), stride-1 across lanes. The backpointer of each lane
-            // lives in that lane's plane — a scattered store that would
-            // wreck the inner loop — so the row is staged lane-interleaved
-            // in `bp_row` (branch-free selects over stride-1 buffers) and
-            // scattered into the active planes in one contiguous pass per
-            // lane afterwards. The common all-lanes-live case dispatches
-            // to a width-monomorphized row so the inner lane loops have
-            // compile-time trip counts (see [`dp_row_lockstep`]); in the
-            // partial case, inactive lanes copy prev through the swap so a
-            // freshly refilled init row survives until its lane wakes.
-            if row_active == width {
-                macro_rules! dp_row {
-                    ($w:expr) => {
-                        dp_row_lockstep::<$w>(
-                            n_states,
-                            k_shift,
-                            log_stay,
-                            log_advance,
-                            prev,
-                            curr,
-                            emit_row,
-                            adv_best,
-                            adv_choice,
-                            bp_row,
-                        )
-                    };
-                }
-                match width {
-                    2 => dp_row!(2),
-                    3 => dp_row!(3),
-                    4 => dp_row!(4),
-                    5 => dp_row!(5),
-                    6 => dp_row!(6),
-                    7 => dp_row!(7),
-                    8 => dp_row!(8),
-                    12 => dp_row!(12),
-                    16 => dp_row!(16),
-                    _ => dp_row_any(
-                        width,
-                        n_states,
-                        k_shift,
-                        log_stay,
-                        log_advance,
-                        prev,
-                        curr,
-                        emit_row,
-                        adv_best,
-                        adv_choice,
-                        bp_row,
-                    ),
-                }
-            } else {
-                for low in 0..n_groups {
-                    for l in 0..width {
-                        let mut best = prev[low * width + l];
-                        let mut choice = 1u8;
-                        for c in 1..4usize {
-                            let v = prev[(low | (c << k_shift)) * width + l];
-                            if v > best {
-                                best = v;
-                                choice = 1 + c as u8;
-                            }
-                        }
-                        adv_best[low * width + l] = best + log_advance;
-                        adv_choice[low * width + l] = choice;
-                    }
-                }
-                for s in 0..n_states {
-                    let g = s >> 2;
-                    for l in 0..width {
-                        if i < blocklen[l] {
-                            let stay = prev[s * width + l] + log_stay;
-                            let adv = adv_best[g * width + l];
-                            let e = emit_row[s * width + l];
-                            let take = adv > stay;
-                            curr[s * width + l] = if take { adv + e } else { stay + e };
-                            bp_row[s * width + l] =
-                                if take { adv_choice[g * width + l] } else { 0 };
-                        } else {
-                            curr[s * width + l] = prev[s * width + l];
-                        }
-                    }
-                }
-            }
-            for l in 0..width {
-                if i < blocklen[l] {
-                    let plane_row = &mut backptr[bpoff[l]..bpoff[l] + n_states];
-                    for (s, b) in plane_row.iter_mut().enumerate() {
-                        *b = bp_row[s * width + l];
-                    }
-                }
-            }
-            std::mem::swap(prev, curr);
-
-            // Drain: a lane that just consumed its last sample traces back
-            // and refills from the queue mid-block; blocklen drops to 0 so
-            // the remaining rows (and the end-of-block cursor bump) skip it.
-            for l in 0..width {
-                if i < blocklen[l] && i + 1 == blocklen[l] && pos[l] + blocklen[l] == len_of[l] {
-                    let j = job_of[l];
-                    let n_j = len_of[l];
-                    let plane = &backptr[l * plane_stride..l * plane_stride + n_j * n_states];
-                    lane_traceback(
-                        l,
-                        width,
-                        n_states,
-                        k_shift,
-                        jobs[j].init_state.is_some(),
-                        prev,
-                        plane,
-                        &mut outputs[j],
-                    );
-                    blocklen[l] = 0;
-                    active[l] = false;
-                    lane_fill(
-                        emission,
-                        transitions,
-                        jobs,
-                        &mut next_job,
-                        l,
-                        width,
-                        plane_stride,
-                        k_shift,
-                        &mut job_of,
-                        &mut pos,
-                        &mut len_of,
-                        &mut active,
-                        prev,
-                        backptr,
-                        emit0,
-                        outputs,
-                    );
-                }
-            }
-        }
-        for l in 0..width {
-            pos[l] += blocklen[l];
-        }
+    // Pass 2: per state, the fused emission and the stay-vs-advance select
+    // (the stay wins ties). The backpointer is `take ? choice : 0` as a byte
+    // mask: written as an `if`, it compiles to a branch that blocks
+    // vectorisation.
+    let x2 = x * x;
+    for s in 0..S {
+        let e = w0[s] * x2 + w1[s] * x + w2[s];
+        let stay = prev[s] + log_stay;
+        let adv = adv_best[s];
+        let take = adv > stay;
+        curr[s] = if take { adv } else { stay } + e;
+        bp[s] = adv_choice[s] & 0u8.wrapping_sub(take as u8);
     }
+}
+
+/// Views a buffer sized by [`DecodeScratch::prepare`] as one `N`-long row.
+#[inline(always)]
+fn as_row<T, const N: usize>(buf: &[T]) -> &[T; N] {
+    buf.try_into()
+        .expect("row buffer sized for the state count")
+}
+
+/// Mutable twin of [`as_row`].
+#[inline(always)]
+fn as_row_mut<T, const N: usize>(buf: &mut [T]) -> &mut [T; N] {
+    buf.try_into()
+        .expect("row buffer sized for the state count")
 }
 
 #[cfg(test)]
@@ -1146,177 +690,53 @@ mod tests {
         let _ = Transitions::from_mean_dwell(1.0);
     }
 
-    /// Deterministic noisy chunk used by the lane tests: a legal k-mer walk
-    /// with per-sample perturbation so ties and near-ties occur.
-    fn noisy_chunk(pore: &PoreModel, seed: u16, bases: usize, dwell: usize) -> Vec<f32> {
-        let mut path = vec![seed % 64];
-        let mut s = path[0];
-        for b in 0..bases as u16 {
-            s = ((s << 2) | (b % 4)) & 63;
-            path.push(s);
+    /// Every row-kernel target this host can run: the dispatcher picks only
+    /// one of them, so each is exercised here explicitly.
+    fn host_targets() -> Vec<Target> {
+        #[allow(unused_mut)]
+        let mut targets = vec![Target::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            targets.push(Target::Avx2);
         }
-        let mut samples = signal_for(pore, &path, dwell);
-        for (i, x) in samples.iter_mut().enumerate() {
-            *x += ((i * 2654435761) % 97) as f32 * 0.01 - 0.48;
-        }
-        samples
-    }
-
-    fn assert_lane_matches_scalar(
-        jobs: &[LaneJob],
-        em: &EmissionModel,
-        tr: Transitions,
-        width: usize,
-    ) {
-        let mut lanes = LaneDecodeScratch::new();
-        decode_lanes_with(em, tr, jobs, width, &mut lanes);
-        let mut scalar = DecodeScratch::new();
-        for (j, job) in jobs.iter().enumerate() {
-            let stats = decode_with(em, job.samples, tr, job.init_state, &mut scalar);
-            let out = lanes.outcome(j);
-            assert_eq!(out.states(), scalar.states(), "width {width} job {j}");
-            assert_eq!(out.advanced(), scalar.advanced(), "width {width} job {j}");
-            assert_eq!(out.stats(), stats, "width {width} job {j}");
-            assert_eq!(
-                out.final_state(),
-                scalar.final_state(),
-                "width {width} job {j}"
-            );
-        }
+        targets
     }
 
     #[test]
-    fn lane_decode_is_bit_identical_to_scalar_for_every_width() {
-        let (pore, em, tr) = setup();
-        let chunks: Vec<Vec<f32>> = (0..10u16)
-            .map(|seed| {
-                noisy_chunk(
-                    &pore,
-                    seed * 7 + 1,
-                    4 + (seed as usize % 6),
-                    5 + seed as usize % 4,
-                )
-            })
-            .collect();
-        let jobs: Vec<LaneJob> = chunks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| LaneJob {
-                samples: c,
-                init_state: if i % 3 == 0 {
-                    None
-                } else {
-                    Some((i * 11 % 64) as u16)
-                },
-            })
-            .collect();
-        for width in [1usize, 2, 3, 4, 5, 8, 16] {
-            assert_lane_matches_scalar(&jobs, &em, tr, width);
-        }
-    }
+    fn every_target_decodes_bit_identically() {
+        let targets = host_targets();
+        for k in 1..=6usize {
+            let pore = PoreModel::synthetic(k, 5);
+            let em = EmissionModel::from_pore_model(&pore);
+            let n_states = em.states() as u16;
+            let tr = Transitions::from_mean_dwell(7.0);
+            for seed in 0..8u16 {
+                // A legal walk with deterministic perturbation (ties and
+                // near-ties included), stitched or free, of odd and even
+                // lengths so the final row lands in either score buffer.
+                let mut path = vec![seed.wrapping_mul(37) % n_states];
+                for b in 0..(3 + seed % 5) {
+                    let s = *path.last().unwrap();
+                    path.push(((s << 2) | (b % 4)) & (n_states - 1));
+                }
+                let mut samples = signal_for(&pore, &path, 4 + seed as usize % 3);
+                for (i, x) in samples.iter_mut().enumerate() {
+                    *x += ((i * 2654435761) % 97) as f32 * 0.03 - 1.4;
+                }
+                samples.truncate(samples.len() - seed as usize % 2);
+                let init = (seed % 3 != 0).then_some(seed.wrapping_mul(11) % n_states);
 
-    #[test]
-    fn lane_decode_handles_degenerate_job_lengths() {
-        let (pore, em, tr) = setup();
-        let long = noisy_chunk(&pore, 3, 9, 7);
-        let short = noisy_chunk(&pore, 5, 1, 2);
-        let one = vec![pore.level_bits(17) + 0.2];
-        // Queue mixes empty, single-sample, short, and long jobs so lanes
-        // drain and refill at staggered times (including immediately).
-        let jobs = [
-            LaneJob {
-                samples: &[],
-                init_state: None,
-            },
-            LaneJob {
-                samples: &one,
-                init_state: Some(17),
-            },
-            LaneJob {
-                samples: &long,
-                init_state: None,
-            },
-            LaneJob {
-                samples: &one,
-                init_state: None,
-            },
-            LaneJob {
-                samples: &short,
-                init_state: Some(9),
-            },
-            LaneJob {
-                samples: &[],
-                init_state: Some(3),
-            },
-            LaneJob {
-                samples: &long,
-                init_state: Some(40),
-            },
-        ];
-        for width in [1usize, 2, 3, 8] {
-            assert_lane_matches_scalar(&jobs, &em, tr, width);
-        }
-    }
-
-    #[test]
-    fn lane_decode_refills_lanes_from_a_deep_queue() {
-        // More jobs than lanes: every lane must refill several times, with
-        // refills landing mid-block (chunk lengths are not BLOCK-aligned).
-        let (pore, em, tr) = setup();
-        let chunks: Vec<Vec<f32>> = (0..23u16)
-            .map(|seed| noisy_chunk(&pore, seed, 2 + (seed as usize % 9), 3 + seed as usize % 5))
-            .collect();
-        let jobs: Vec<LaneJob> = chunks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| LaneJob {
-                samples: c,
-                init_state: if i % 2 == 0 {
-                    Some((i * 5 % 64) as u16)
-                } else {
-                    None
-                },
-            })
-            .collect();
-        for width in [2usize, 4, 16] {
-            assert_lane_matches_scalar(&jobs, &em, tr, width);
-        }
-    }
-
-    #[test]
-    fn lane_scratch_reuse_is_bit_identical_across_batches() {
-        let (pore, em, tr) = setup();
-        let mut lanes = LaneDecodeScratch::new();
-        let mut scalar = DecodeScratch::new();
-        for round in 0..4u16 {
-            let chunks: Vec<Vec<f32>> = (0..6u16)
-                .map(|seed| noisy_chunk(&pore, seed + round * 13, 3 + (seed as usize % 5), 4))
-                .collect();
-            let jobs: Vec<LaneJob> = chunks
-                .iter()
-                .map(|c| LaneJob {
-                    samples: c,
-                    init_state: None,
-                })
-                .collect();
-            decode_lanes_with(&em, tr, &jobs, 4, &mut lanes);
-            for (j, job) in jobs.iter().enumerate() {
-                let stats = decode_with(&em, job.samples, tr, job.init_state, &mut scalar);
-                assert_eq!(
-                    lanes.outcome(j).states(),
-                    scalar.states(),
-                    "round {round} job {j}"
-                );
-                assert_eq!(lanes.outcome(j).stats(), stats, "round {round} job {j}");
+                let want = decode(&em, &samples, tr, init);
+                for &target in &targets {
+                    let mut scratch = DecodeScratch::new();
+                    let stats = decode_on(target, &em, &samples, tr, init, &mut scratch);
+                    let label = format!("{target:?} k {k} seed {seed}");
+                    assert_eq!(scratch.states(), &want.states[..], "{label}");
+                    assert_eq!(scratch.advanced(), &want.advanced[..], "{label}");
+                    assert_eq!(stats.score.to_bits(), want.score.to_bits(), "{label}");
+                    assert_eq!((stats.mvm_ops, stats.cells), (want.mvm_ops, want.cells));
+                }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "lane width")]
-    fn zero_lane_width_panics() {
-        let (_, em, tr) = setup();
-        let mut lanes = LaneDecodeScratch::new();
-        decode_lanes_with(&em, tr, &[], 0, &mut lanes);
     }
 }

@@ -4,8 +4,8 @@
 //! These measure the *real* wall-clock cost of this reproduction's
 //! implementations (not the modelled hardware times): the MVM emission
 //! kernel, CAM search, Viterbi chunk decoding (allocation-free scratch
-//! path), the lane-batched SoA Viterbi kernel at widths 1/4/8 (scalar
-//! bit-identity asserted in-bench) plus the pipeline throughput at decode
+//! path), lane-batched chunk decoding at widths 1/4/8 (bit-identity with
+//! per-chunk calls asserted in-bench) plus the pipeline throughput at decode
 //! lane widths, minimizer extraction, chaining DP, sharded fan-out seeding at
 //! 1/2/4 index shards (with a shard-vs-monolithic bit-identity check),
 //! pan-genome mapping against 1 vs 3 named references (one shared sketch,
@@ -74,9 +74,8 @@ fn batch_via_session(
 }
 
 /// Best SIMD extension the host advertises, recorded next to
-/// `host_threads` in the report so the lane-batch rows can be compared
-/// across machines (the SoA kernel's stride-1 inner loop is what the
-/// auto-vectorizer targets).
+/// `host_threads` in the report so the decode rows can be compared across
+/// machines (the Viterbi row kernel runs its AVX2 build where available).
 fn host_simd() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
@@ -103,7 +102,7 @@ fn host_simd() -> &'static str {
 fn main() {
     let mut results = Vec::new();
 
-    // --- MVM emission kernel (single sample and strided block) ---
+    // --- MVM emission kernel (one sample, all states) ---
     let pore = PoreModel::synthetic(3, 7);
     let emission = EmissionModel::from_pore_model(&pore);
     let n_states = emission.states();
@@ -115,16 +114,6 @@ fn main() {
             || {
                 emission.log_likelihoods(black_box(93.7), &mut out);
                 out[0]
-            },
-        ));
-        let xs = [88.0f32, 91.5, 95.2, 99.9, 104.1, 96.3, 90.0, 93.3];
-        let mut block = vec![0.0f32; xs.len() * n_states];
-        results.push(bench(
-            "mvm/emission_block8",
-            Some((xs.len() as f64 * n_states as f64, "states")),
-            || {
-                emission.log_likelihoods_block(black_box(&xs), &mut block);
-                block[0]
             },
         ));
         let mut xbar = CrossbarArray::new(3, 64);
@@ -166,15 +155,14 @@ fn main() {
         ));
     }
 
-    // --- Lane-batched Viterbi decode: W chunks in lockstep (SoA kernel) ---
-    // The same chunk decode, batched W-wide through the structure-of-arrays
-    // lane kernel. Chunks share one base count — the engine's lane batches
-    // are chunk tasks cut at a fixed `chunk_bases`, so equal-sized chunks
-    // are the representative load — while dwell noise still staggers the
-    // exact sample counts, so the tail exercises lane drain. Every width's
-    // outputs are asserted bit-identical to the scalar decoder on the same
-    // jobs, and the W>1 rows report per-sample speedup over the W=1
-    // (scalar-path) row.
+    // --- Lane-batched Viterbi decode: W chunks per `call_batch` ---
+    // The same chunk decode, W chunks per batch. Every chunk goes through
+    // the one state-vectorised row kernel, so the width only sets the
+    // batching order and the W>1 rows should read ≈ 1× the W=1 row. Chunks
+    // share one base count — the engine's lane batches are chunk tasks cut
+    // at a fixed `chunk_bases` — while dwell noise staggers the exact sample
+    // counts. Every width's outputs are asserted bit-identical to
+    // `call_chunk_with` on the same jobs.
     let mut lane_rows = Vec::new();
     let mut lane_batch_matches_scalar = true;
     {
@@ -592,9 +580,8 @@ fn main() {
 
     // --- Pipeline at decode lane widths: lanes 1 vs auto, same 4 workers ---
     // The end-to-end effect of worker-side lane batching: lanes=1 disables
-    // batch draining (every chunk decodes through the scalar path), the
-    // auto width lets each worker drain queued chunk tasks into one SoA
-    // batch. Same session, same threads — only the decode width moves —
+    // batch draining, the auto width lets each worker drain queued chunk
+    // tasks into one batch (decoded chunk by chunk by the same kernel). Same session, same threads — only the decode width moves —
     // and the outputs must stay bit-identical to the serial reference.
     // Each row is the median of 3 runs: end-to-end seconds on a shared
     // host swing more than the decode-width effect being measured.

@@ -59,13 +59,13 @@ impl Parallelism {
 }
 
 /// How many decode lanes the engine's workers batch basecall chunk tasks
-/// into ([`genpip_basecall::LaneDecoder`]): W independent chunks advance in
-/// lockstep through one structure-of-arrays Viterbi kernel.
+/// into ([`genpip_basecall::LaneDecoder`]): a worker gathers up to W
+/// dispatchable chunk tasks and decodes their next chunks in one batch.
 ///
-/// Like [`Parallelism`], this is a pure throughput knob: lane-batched
-/// output is **bit-identical** to scalar decode for every width (the
-/// scalar path is the `W = 1` fallback and oracle), so the setting only
-/// trades memory-system efficiency for per-batch working-set size.
+/// Like [`Parallelism`], this is a pure scheduling knob: every chunk is
+/// decoded by the same Viterbi row kernel, so lane-batched output is
+/// **bit-identical** to scalar decode for every width and the setting only
+/// changes the order in which queued chunk work runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Lanes {
     /// A sensible multi-lane default for this build
@@ -77,9 +77,7 @@ pub enum Lanes {
 }
 
 impl Lanes {
-    /// The width [`Lanes::Auto`] resolves to: wide enough to fill a SIMD
-    /// register of f32 scores on current hardware, small enough that the
-    /// interleaved DP rows stay cache-resident.
+    /// The width [`Lanes::Auto`] resolves to.
     pub const AUTO_WIDTH: usize = 8;
 
     /// The concrete lane width this setting resolves to.

@@ -382,10 +382,9 @@ pub(crate) struct WorkerScratch {
     batches: Vec<SeedBatch>,
     pairs: Vec<(IncrementalChainer, IncrementalChainer)>,
     align: AlignScratch,
-    /// Lane-batched decode buffers for [`prefetch_lane_batch`]: the SoA
-    /// Viterbi scratch plus the per-batch output staging vector. Both reach
-    /// steady state after the first full batch and are then reused
-    /// allocation-free by the decode kernel.
+    /// Lane-batched decode buffers for [`prefetch_lane_batch`]: the batch
+    /// decoder's scratch plus the per-batch output staging vector. Both
+    /// reach steady state after the first full batch and are then reused.
     lanes: LaneScratch,
     lane_chunks: Vec<BasecalledChunk>,
 }
@@ -1334,11 +1333,11 @@ fn basecall_chunk(
 }
 
 /// The engine's lane-batch hook: a worker drained up to W dispatchable
-/// chunk tasks into one batch; decode their next chunks *together* through
-/// the SoA lane-batched Viterbi kernel and hand each chain its finished
-/// chunk before the tasks are stepped one by one. Pure optimization —
-/// bit-identity is the lane kernel's contract (asserted by the basecall
-/// crate's suites and the cross-width suites over this path), and any task
+/// chunk tasks into one batch; decode their next chunks in one
+/// [`LaneDecoder::call_batch`] and hand each chain its finished chunk
+/// before the tasks are stepped one by one. Pure scheduling — the batch
+/// decodes each chunk exactly as the scalar step would (asserted by the
+/// basecall crate's suites and the cross-width suites over this path), and any task
 /// that cannot join a batch (its next task does no basecalling, its samples
 /// are non-finite, its source's lane width is 1) simply falls through to
 /// its unchanged scalar step.

@@ -25,13 +25,19 @@ pub struct RefHit {
 }
 
 /// Hash table from minimizer hash to reference locations.
+///
+/// The locations of every key live in one flat array, grouped by key in
+/// ascending position order; the table maps each hash to its range of that
+/// array. Two allocations hold the whole index, instead of one small vector
+/// per distinct minimizer.
 #[derive(Debug, Clone)]
 pub struct ReferenceIndex {
     k: usize,
     w: usize,
     genome_len: usize,
     base_offset: RefPos,
-    table: HashMap<u64, Vec<RefHit>>,
+    table: HashMap<u64, (usize, usize)>,
+    hits: Vec<RefHit>,
     max_occurrences: usize,
 }
 
@@ -56,19 +62,57 @@ impl ReferenceIndex {
     /// each slice of a long reference into one global `u64` coordinate space
     /// without ever materializing the whole sequence.
     pub fn build_at(genome: &Genome, k: usize, w: usize, base_offset: RefPos) -> ReferenceIndex {
-        let mut table: HashMap<u64, Vec<RefHit>> = HashMap::new();
-        for m in minimizers(genome.sequence(), k, w) {
-            table.entry(m.hash).or_default().push(RefHit {
+        let mins = minimizers(genome.sequence(), k, w);
+        Self::from_minimizers(k, w, genome.len(), base_offset, mins)
+    }
+
+    /// Groups `mins` (in ascending position order, positions within the
+    /// indexed sequence) by hash, each key's hits in ascending position
+    /// order.
+    fn from_minimizers(
+        k: usize,
+        w: usize,
+        genome_len: usize,
+        base_offset: RefPos,
+        mins: Vec<Minimizer>,
+    ) -> ReferenceIndex {
+        // Pass 1: hits per key. A key's entry is (start, count) until pass 2
+        // places it, then (start, cursor), which ends as (start, end).
+        let mut table: HashMap<u64, (usize, usize)> = HashMap::with_capacity(mins.len());
+        for m in &mins {
+            table.entry(m.hash).or_insert((usize::MAX, 0)).1 += 1;
+        }
+        // Pass 2: keys are laid out in order of first occurrence, so the hit
+        // lists of nearby reference minimizers — which one query looks up in
+        // a row — sit next to each other in memory.
+        let mut hits = vec![
+            RefHit {
+                pos: 0,
+                reverse: false
+            };
+            mins.len()
+        ];
+        let mut next = 0;
+        for m in &mins {
+            let (start, cursor) = table.get_mut(&m.hash).expect("counted in pass 1");
+            if *start == usize::MAX {
+                *start = next;
+                next += *cursor;
+                *cursor = *start;
+            }
+            hits[*cursor] = RefHit {
                 pos: base_offset + m.pos,
                 reverse: m.reverse,
-            });
+            };
+            *cursor += 1;
         }
         ReferenceIndex {
             k,
             w,
-            genome_len: genome.len(),
+            genome_len,
             base_offset,
             table,
+            hits,
             max_occurrences: Self::DEFAULT_MAX_OCCURRENCES,
         }
     }
@@ -112,24 +156,12 @@ impl ReferenceIndex {
         let ext_start = span.start.saturating_sub(halo);
         let ext_end = (span.end + halo).min(genome.len());
         let sub = genome.sequence().subseq(ext_start, ext_end - ext_start);
-        let mut table: HashMap<u64, Vec<RefHit>> = HashMap::new();
-        for m in minimizers(&sub, k, w) {
-            let pos = ext_start + m.pos as usize;
-            if span.contains(&pos) {
-                table.entry(m.hash).or_default().push(RefHit {
-                    pos: base_offset + pos as RefPos,
-                    reverse: m.reverse,
-                });
-            }
-        }
-        ReferenceIndex {
-            k,
-            w,
-            genome_len: genome.len(),
-            base_offset,
-            table,
-            max_occurrences: Self::DEFAULT_MAX_OCCURRENCES,
-        }
+        let mut mins = minimizers(&sub, k, w);
+        mins.retain_mut(|m| {
+            m.pos += ext_start as RefPos;
+            span.contains(&(m.pos as usize))
+        });
+        Self::from_minimizers(k, w, genome.len(), base_offset, mins)
     }
 
     /// Adjusts the repetitive-minimizer cap.
@@ -177,7 +209,7 @@ impl ReferenceIndex {
 
     /// Total number of (key, location) entries.
     pub fn total_entries(&self) -> usize {
-        self.table.values().map(Vec::len).sum()
+        self.hits.len()
     }
 
     /// The repetitive-minimizer cap ([`ReferenceIndex::with_max_occurrences`]).
@@ -189,10 +221,9 @@ impl ReferenceIndex {
     /// with more than `max_occurrences` hits, which [`ReferenceIndex::lookup`]
     /// reports as empty.
     pub fn masked_entries(&self) -> usize {
-        self.table
-            .values()
-            .filter(|hits| hits.len() > self.max_occurrences)
-            .map(Vec::len)
+        self.iter()
+            .map(|(_, hits)| hits.len())
+            .filter(|&n| n > self.max_occurrences)
             .sum()
     }
 
@@ -200,17 +231,14 @@ impl ReferenceIndex {
     /// slice if the key is absent **or** more frequent than the repetitive
     /// cap.
     pub fn lookup(&self, m: &Minimizer) -> &[RefHit] {
-        match self.table.get(&m.hash) {
-            Some(hits) if hits.len() <= self.max_occurrences => hits,
-            _ => &[],
-        }
+        self.lookup_hash(m.hash)
     }
 
     /// Looks up by raw hash (used by the PIM CAM model, which stores hashes
     /// directly).
     pub fn lookup_hash(&self, hash: u64) -> &[RefHit] {
         match self.table.get(&hash) {
-            Some(hits) if hits.len() <= self.max_occurrences => hits,
+            Some(&(start, end)) if end - start <= self.max_occurrences => &self.hits[start..end],
             _ => &[],
         }
     }
@@ -220,15 +248,16 @@ impl ReferenceIndex {
     /// program query-visible state (the PIM CAM/RAM image) must use
     /// [`ReferenceIndex::iter_unmasked`] instead, or they will count rows the
     /// functional model never reads.
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &Vec<RefHit>)> {
-        self.table.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (&u64, &[RefHit])> {
+        self.table
+            .iter()
+            .map(|(hash, &(start, end))| (hash, &self.hits[start..end]))
     }
 
     /// Iterates over exactly the `(hash, hits)` pairs [`ReferenceIndex::lookup`]
     /// can return — keys at or below the repetitive cap.
-    pub fn iter_unmasked(&self) -> impl Iterator<Item = (&u64, &Vec<RefHit>)> {
-        self.table
-            .iter()
+    pub fn iter_unmasked(&self) -> impl Iterator<Item = (&u64, &[RefHit])> {
+        self.iter()
             .filter(|(_, hits)| hits.len() <= self.max_occurrences)
     }
 }
@@ -265,6 +294,46 @@ mod tests {
         assert!(idx.distinct_minimizers() <= sketch.len());
         assert_eq!(idx.genome_len(), 10_000);
         assert_eq!((idx.k(), idx.w()), (15, 10));
+    }
+
+    #[test]
+    fn hits_group_the_sketch_by_key_in_position_order() {
+        // Reference layout: one vector per key, pushed in sketch order. A
+        // repeated unit gives many keys several hits.
+        let (unit, spacer) = (genome(700, 4), genome(900, 5));
+        let mut seq = unit.sequence().clone();
+        for part in [&spacer, &unit, &unit] {
+            seq.extend_from_seq(part.sequence());
+        }
+        let g = Genome::from_seq("repeats", seq);
+        let offset: RefPos = 1 << 40;
+        let span = 500..2_600;
+        for (idx, lo, hi) in [
+            (ReferenceIndex::build_at(&g, 15, 10, offset), 0, g.len()),
+            (
+                ReferenceIndex::build_span_at(&g, 15, 10, span.clone(), offset),
+                span.start,
+                span.end,
+            ),
+        ] {
+            let mut want: HashMap<u64, Vec<RefHit>> = HashMap::new();
+            for m in minimizers(g.sequence(), 15, 10) {
+                if (lo..hi).contains(&(m.pos as usize)) {
+                    want.entry(m.hash).or_default().push(RefHit {
+                        pos: offset + m.pos,
+                        reverse: m.reverse,
+                    });
+                }
+            }
+            assert!(want.values().any(|hits| hits.len() > 1));
+            let got: HashMap<u64, Vec<RefHit>> =
+                idx.iter().map(|(&h, hits)| (h, hits.to_vec())).collect();
+            assert_eq!(got, want);
+            assert_eq!(idx.distinct_minimizers(), want.len());
+            for (hash, hits) in &want {
+                assert_eq!(idx.lookup_hash(*hash), &hits[..]);
+            }
+        }
     }
 
     #[test]

@@ -93,22 +93,44 @@ pub fn minimizers_into(
 ) {
     assert!(w >= 1, "window size must be >= 1");
     out.clear();
-    // Hash every k-mer (canonical form), skipping palindromes.
-    let hashed = &mut scratch.hashed;
-    hashed.clear();
-    for (_, kmer) in KmerIter::new(seq, k) {
-        hashed.push(canonical_hash(kmer));
-    }
-    if hashed.is_empty() {
-        return;
-    }
-
-    // Monotone-deque winnowing: for each window of w k-mers pick the entry
-    // with the smallest hash (rightmost on ties, the standard choice that
-    // guarantees window coverage).
-    let deque = &mut scratch.deque;
+    let MinimizerScratch { hashed, deque } = scratch;
     deque.clear();
-    for (i, h) in hashed.iter().enumerate() {
+    let mut kmers = KmerIter::new(seq, k);
+    let mut base = 0;
+    loop {
+        // Hash the next block of k-mers (canonical form; `None` for
+        // palindromes) in one tight loop. Blocks bound the buffer, so a
+        // whole reference sketches in as little memory as a read does.
+        hashed.clear();
+        hashed.extend(
+            kmers
+                .by_ref()
+                .take(HASH_BLOCK)
+                .map(|(_, kmer)| canonical_hash(kmer)),
+        );
+        if hashed.is_empty() {
+            return;
+        }
+        winnow(hashed, base, w, deque, out);
+        base += hashed.len();
+    }
+}
+
+/// K-mers hashed per block by [`minimizers_into`].
+const HASH_BLOCK: usize = 4096;
+
+/// Monotone-deque winnowing over one block of k-mer hashes, the first at
+/// k-mer index `base`; `deque` carries the window across blocks. For each
+/// window of `w` k-mers it picks the entry with the smallest hash (rightmost
+/// on ties, the standard choice that guarantees window coverage).
+fn winnow(
+    hashed: &[Option<(u64, bool)>],
+    base: usize,
+    w: usize,
+    deque: &mut std::collections::VecDeque<(usize, u64, bool)>,
+    out: &mut Vec<Minimizer>,
+) {
+    for (i, h) in (base..).zip(hashed) {
         if let Some((hash, rev)) = *h {
             while let Some(&(_, back_hash, _)) = deque.back() {
                 if back_hash >= hash {
@@ -182,6 +204,42 @@ mod tests {
         let s = seq(5_000, 1);
         let mins = minimizers(&s, 15, 10);
         assert!(mins.windows(2).all(|m| m[0].pos < m[1].pos));
+    }
+
+    #[test]
+    fn sketch_matches_a_window_by_window_reference() {
+        // Spans several hash blocks, so the window carries across block
+        // boundaries; a repeat-rich sequence gives equal-hash ties.
+        let s = GenomeBuilder::new(3 * HASH_BLOCK + 777)
+            .seed(9)
+            .repeat_fraction(0.5)
+            .build()
+            .sequence()
+            .clone();
+        let k = 15;
+        let hashes: Vec<_> = KmerIter::new(&s, k)
+            .map(|(_, kmer)| canonical_hash(kmer))
+            .collect();
+        for w in [1usize, 5, 10] {
+            let mut want: Vec<Minimizer> = Vec::new();
+            for end in w - 1..hashes.len() {
+                // Smallest hash in the window, rightmost on ties.
+                let best = (end + 1 - w..=end)
+                    .filter_map(|i| hashes[i].map(|(hash, reverse)| (hash, i, reverse)))
+                    .min_by_key(|&(hash, i, _)| (hash, std::cmp::Reverse(i)));
+                if let Some((hash, pos, reverse)) = best {
+                    let m = Minimizer {
+                        hash,
+                        pos: pos as RefPos,
+                        reverse,
+                    };
+                    if want.last() != Some(&m) {
+                        want.push(m);
+                    }
+                }
+            }
+            assert_eq!(minimizers(&s, k, w), want, "w {w}");
+        }
     }
 
     #[test]

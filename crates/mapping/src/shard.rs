@@ -385,7 +385,7 @@ impl ShardedReferenceIndex {
     /// hardware model programs nothing the functional model refuses to
     /// query. (The shard's own [`ReferenceIndex::iter_unmasked`] would
     /// filter by per-shard counts, which under-masks split keys.)
-    pub fn shard_iter_unmasked(&self, s: usize) -> impl Iterator<Item = (&u64, &Vec<RefHit>)> {
+    pub fn shard_iter_unmasked(&self, s: usize) -> impl Iterator<Item = (&u64, &[RefHit])> {
         self.shards[s]
             .iter()
             .filter(move |(hash, _)| !self.masked.contains(hash))

@@ -173,9 +173,9 @@ OPTIONS:
   --shards    reference-index shard count for `map`/`run`/`stream`; results
               are bit-identical for every setting (default single)
   --lanes     Viterbi lane-batch width for `run`/`stream`/`serve`: how many
-              chunks a worker decodes in lockstep through the SoA kernel.
-              auto picks the default width; N >= 1 fixes it (1 = scalar
-              decode, widths above the kernel maximum clamp); 0 is an
+              queued chunks a worker gathers into one decode batch.
+              auto picks the default width; N >= 1 fixes it (1 = no
+              batching, widths above the maximum of 16 clamp); 0 is an
               error. Results are bit-identical for every setting.
               Default: GENPIP_LANES env, then auto
   --on-fault  what a faulting read does to the run (default fail):
@@ -488,7 +488,7 @@ fn shards_from(parsed: &Parsed) -> Result<Shards, String> {
 /// `--lanes`: the Viterbi lane-batch width for `run`/`stream`/`serve`.
 /// Defaults to the `GENPIP_LANES` environment variable, then auto. `0` and
 /// unparsable widths are user errors (exit nonzero), not silent clamps —
-/// only widths above the kernel maximum clamp.
+/// only widths above the lane maximum clamp.
 fn lanes_from(parsed: &Parsed) -> Result<Lanes, String> {
     match opt(parsed, "lanes") {
         None => Ok(Lanes::from_env_or(Lanes::Auto)),

@@ -184,7 +184,7 @@ fn verdict_cancelled_chains_mid_batch_match_scalar() {
 }
 
 /// Fault containment composes with lane batching: a corrupt read in a lane
-/// batch is pre-screened out of the SoA kernel and faults inside its own
+/// batch is pre-screened out of the batch decode and faults inside its own
 /// task's scalar step, so under Quarantine the quarantined set equals the
 /// injected set and every survivor is bit-identical to the fault-free
 /// scalar reference.
